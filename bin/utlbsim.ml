@@ -349,6 +349,7 @@ let run_cmd =
             prepin;
             policy;
             memory_limit_pages = limit_pages limit;
+            backstop = Hier_engine.No_backstop;
           }
     in
     let sanitizer =

@@ -159,9 +159,7 @@ let step_us model ~walk_fault ~irq_fault = function
   | Cost.Dma n -> Cost_model.dma_us model ~entries:(max 1 n)
 
 let prepin_of = function
-  | Stepper.Hier { prepin; _ }
-  | Stepper.Victima { prepin; _ }
-  | Stepper.Utopia { prepin; _ } -> max 1 prepin
+  | Stepper.Hier { prepin; _ } -> max 1 prepin
   | Stepper.Intr _ | Stepper.Static _ -> 1
 
 let pow2_floor n = if n < 1 then 0 else 1 lsl (Float.to_int (Float.log2 (Float.of_int n)))
@@ -241,8 +239,7 @@ let analyze ?(model = Cost_model.default) ?(faults = Plan.empty) ?tenants
           is wider than the %d-entry cache, and under cached = pinned \
           the self-conflict evictions unpin in-flight pages mid-transfer"
          npages entries
-     | Stepper.Hier _ | Stepper.Static _ | Stepper.Victima _
-     | Stepper.Utopia _ ->
+     | Stepper.Hier _ | Stepper.Static _ ->
        emit ~severity:Finding.Warning "UP43"
          "worst-case eviction chain exceeds the cache: a %d-page buffer \
           must evict its own in-flight entries within one translation \
@@ -370,6 +367,7 @@ let of_config (config : Config_file.t) =
             prepin = config.prepin;
             policy = config.policy;
             memory_limit_pages;
+            backstop = No_backstop;
           } )
     | Config_file.Intr ->
       Utlb.Engine_intf.Packed

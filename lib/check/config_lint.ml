@@ -336,6 +336,7 @@ let lint_config (config : Config_file.t) =
           prepin = config.prepin;
           policy = config.policy;
           memory_limit_pages;
+          backstop = No_backstop;
         }
     | Config_file.Intr -> lint_intr ~context { cache; memory_limit_pages }
     | Config_file.Per_process ->

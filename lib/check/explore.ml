@@ -71,7 +71,8 @@ let semantics_of_config (config : Config_file.t) =
   let limit_pages = Option.map pages_of_mb config.limit_mb in
   match config.engine with
   | Config_file.Utlb ->
-    Stepper.Hier { prepin = config.prepin; limit_pages }
+    Stepper.Hier
+      { prepin = config.prepin; limit_pages; backstop = Stepper.No_backstop }
   | Config_file.Intr ->
     Stepper.Intr { entries = config.entries; limit_pages }
   | Config_file.Per_process ->
@@ -193,7 +194,7 @@ let dependent scope sem st a b =
          protection frontier the NI's victim choice reads. *)
       match sem with
       | Intr _ -> near_full
-      | Hier _ | Static _ | Victima _ | Utopia _ -> false)
+      | Hier _ | Static _ -> false)
     | _ -> false
   in
   let pin_touch = function
@@ -201,7 +202,7 @@ let dependent scope sem st a b =
     | Evict { pid; _ } -> (
       match sem with
       | Intr _ -> Some pid
-      | Hier _ | Static _ | Victima _ | Utopia _ -> None)
+      | Hier _ | Static _ -> None)
     | _ -> None
   in
   pid_of a = pid_of b
@@ -215,7 +216,7 @@ let dependent scope sem st a b =
      &&
      match sem with
      | Static _ -> true
-     | Hier _ | Intr _ | Victima _ | Utopia _ -> false)
+     | Hier _ | Intr _ -> false)
 
 let is_evict_action = function Stepper.Evict _ -> true | _ -> false
 
@@ -243,7 +244,7 @@ let safe_action scope sem st enb a =
     | None -> (
       match sem with
       | Static _ -> false
-      | Hier _ | Intr _ | Victima _ | Utopia _ -> true))
+      | Hier _ | Intr _ -> true))
   | Pin { pid; _ } -> (
     (match sem with
     | Intr { limit_pages = Some _; _ } -> false
@@ -264,7 +265,7 @@ let safe_action scope sem st enb a =
          matters when the cache could actually evict. *)
       List.length st.cache + 2 <= scope.sets
       || not (List.exists (fun (p, _) -> p = pid) st.cache)
-    | Hier _ | Static _ | Victima _ | Utopia _ -> true)
+    | Hier _ | Static _ -> true)
   | Evict _ | Unpin _ -> false
 
 (* The subset of [enabled] actually expanded: the first process (in

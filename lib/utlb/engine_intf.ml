@@ -1,9 +1,11 @@
 (** The common shape of a translation engine.
 
-    Every translation mechanism in the repository — the
-    Hierarchical-UTLB ({!Hier_engine}), the interrupt-based baseline
-    ({!Intr_engine}), and the Per-process tables ({!Pp_engine}) —
-    implements {!S}. The driver and the campaign layer dispatch over
+    Every translation engine in the repository — the Hierarchical-UTLB
+    ({!Hier_engine}, also registered with a backstop as
+    {!Victima_engine} and {!Utopia_engine}), the interrupt-based
+    baseline ({!Intr_engine}), and the Per-process tables
+    ({!Pp_engine}) — implements {!S}. The driver and the campaign layer
+    dispatch over
     {!packed} values, so a new design (say, a two-level NI cache)
     becomes usable by every experiment in the repo the moment it
     satisfies the signature and registers itself with

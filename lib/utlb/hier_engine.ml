@@ -11,12 +11,18 @@ let log_src = Logs.Src.create "utlb.hier" ~doc:"Hierarchical-UTLB engine"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+type backstop =
+  | No_backstop
+  | Victim_store of int
+  | Restseg of { sets : int; ways : int }
+
 type config = {
   cache : Ni_cache.config;
   prefetch : int;
   prepin : int;
   policy : Replacement.policy;
   memory_limit_pages : int option;
+  backstop : backstop;
 }
 
 let default_config =
@@ -26,7 +32,25 @@ let default_config =
     prepin = 1;
     policy = Replacement.Lru;
     memory_limit_pages = None;
+    backstop = No_backstop;
   }
+
+let validate config =
+  if config.prefetch < 1 then invalid_arg "Hier_engine: prefetch must be >= 1";
+  if config.prepin < 1 then invalid_arg "Hier_engine: prepin must be >= 1";
+  if Ni_cache.sets_of_config config.cache = None then
+    invalid_arg
+      "Hier_engine: cache entries must be a positive multiple of the ways \
+       with a power-of-two set count";
+  match config.backstop with
+  | No_backstop -> ()
+  | Victim_store entries ->
+    if entries < 0 then
+      invalid_arg "Hier_engine: victim-store entries must be >= 0"
+  | Restseg { sets; ways } ->
+    if ways < 0 then invalid_arg "Hier_engine: RestSeg ways must be >= 0";
+    if ways > 0 && (sets <= 0 || sets land (sets - 1) <> 0) then
+      invalid_arg "Hier_engine: RestSeg sets must be a power of two"
 
 module Pid_table = Hashtbl.Make (struct
   type t = Pid.t
@@ -41,6 +65,25 @@ type process = {
   table : Translation_table.t;
   tracker : Replacement.t;
 }
+
+(* The live backstop, built from [config.backstop] at [create]; a store
+   sized to zero is [Bare], so it degenerates to the plain engine.
+   Both stores key lines by (pid lsl 20) lor vpn (vpns fit
+   Translation_table's 20 bits).
+
+   [Victims]: a flat key -> frame map bounded by a FIFO ring of the
+   keys in insertion order. Ring slots may hold keys that already left
+   the map (recalled or unpinned); the map is the truth, the ring only
+   chooses whom to overwrite when the store is full.
+
+   [Rest]: [sets] x [ways] flat key/frame arrays, a key of -1 marking a
+   free way. Placement is hash-constrained: a page may only live in the
+   ways of its hashed set, so a probe touches one set and nothing
+   else. *)
+type store =
+  | Bare
+  | Victims of { map : Flat_map.t; ring : int array; mutable cursor : int }
+  | Rest of { sets : int; ways : int; keys : int array; frames : int array }
 
 (* The [?sanitizer] option compiled into a record at [create], the same
    treatment [Utlb_obs.Probe] gives [?obs]: the hot path makes two
@@ -70,6 +113,7 @@ and t = {
   ten_active : bool;
       (* [Arbiter.active tenancy], cached so the untenanted per-page
          path pays one local branch instead of a cross-module call. *)
+  store : store;
   (* Scratch for [lookup]: the clear runs captured before the pin limit
      is enforced (see there). Grown on demand, never shrunk. *)
   mutable run_start : int array;
@@ -81,6 +125,11 @@ and t = {
   mutable fault_interrupts : int;
       (* Injected DMA failures that exhausted their retry budget: the
          NI gives up on the fetch and interrupts the host instead. *)
+  mutable spills : int;
+  mutable recalls : int;
+  mutable restseg_hits : int;
+      (* Backstop counters, folded into the report at [report] like the
+         interrupt counts: the hot path allocates no report record. *)
 }
 
 (* [create] lives after the sanitizer hooks it compiles (see
@@ -96,6 +145,144 @@ let host t = t.host
 let cache t = t.cache
 
 let classifier t = t.classifier
+
+(* {2 Backstop hooks}
+
+   The points where a backstop joins the lookup path. Hooks answer with
+   a frame, -1 for none, and cost one tag test on [Bare]. *)
+
+let store_key pid vpn = (Pid.to_int pid lsl 20) lor vpn
+
+(* Fibonacci-hash the key into a RestSeg set index ([sets] is a power of
+   two, so masking the mixed low bits is uniform enough). *)
+let rest_base ~sets ~ways key =
+  let h = key * 0x9E3779B1 in
+  ((h lxor (h lsr 11)) land (sets - 1)) * ways
+
+(* RestSeg probe, ahead of the NI-cache probe. *)
+let restseg_frame t pid vpn =
+  match t.store with
+  | Bare | Victims _ -> -1
+  | Rest { sets; ways; keys; frames } ->
+    let key = store_key pid vpn in
+    let base = rest_base ~sets ~ways key in
+    let frame = ref (-1) in
+    for w = base to base + ways - 1 do
+      if keys.(w) = key then frame := frames.(w)
+    done;
+    !frame
+
+(* Victim recall on an NI miss: the line leaves the store. *)
+let recall t pid vpn =
+  match t.store with
+  | Bare | Rest _ -> -1
+  | Victims { map; _ } ->
+    let key = store_key pid vpn in
+    let slot = Flat_map.find map key in
+    if slot < 0 then -1
+    else begin
+      let frame = Flat_map.value0 map slot in
+      Flat_map.remove map key;
+      frame
+    end
+
+(* A capacity eviction from the Shared UTLB-Cache spills the displaced
+   line into the victim store instead of dropping it. *)
+let spill t pid vpn frame =
+  match t.store with
+  | Bare | Rest _ -> ()
+  | Victims v ->
+    let key = store_key pid vpn in
+    let slot = v.cursor in
+    let old = v.ring.(slot) in
+    if old >= 0 && old <> key then Flat_map.remove v.map old;
+    ignore (Flat_map.add v.map key ~v0:frame ~v1:0);
+    v.ring.(slot) <- key;
+    v.cursor <- (slot + 1) mod Array.length v.ring;
+    t.spills <- t.spills + 1
+
+(* A freshly pinned page claims its RestSeg slot (the kernel knows the
+   frame right here). Restrictive placement never displaces: a full set
+   leaves the page on the flexible path. *)
+let place t pid vpn frame =
+  match t.store with
+  | Bare | Victims _ -> ()
+  | Rest { sets; ways; keys; frames } ->
+    let key = store_key pid vpn in
+    let base = rest_base ~sets ~ways key in
+    let placed = ref false in
+    let free = ref (-1) in
+    for w = base to base + ways - 1 do
+      let k = keys.(w) in
+      if k = key then begin
+        frames.(w) <- frame;
+        placed := true
+      end
+      else if k < 0 && !free < 0 then free := w
+    done;
+    if (not !placed) && !free >= 0 then begin
+      keys.(!free) <- key;
+      frames.(!free) <- frame
+    end
+
+(* Unpinning a page drops its backstop line, so neither a recall nor a
+   RestSeg hit can resurface a stale translation. *)
+let drop t pid vpn =
+  let key = store_key pid vpn in
+  match t.store with
+  | Bare -> ()
+  | Victims { map; _ } -> Flat_map.remove map key
+  | Rest { sets; ways; keys; _ } ->
+    let base = rest_base ~sets ~ways key in
+    for w = base to base + ways - 1 do
+      if keys.(w) = key then keys.(w) <- -1
+    done
+
+(* Process exit leaves nothing of the process recallable. *)
+let purge t pid =
+  let ipid = Pid.to_int pid in
+  match t.store with
+  | Bare -> ()
+  | Victims { map; _ } ->
+    let stale = ref [] in
+    Flat_map.iter map (fun key ~v0:_ ~v1:_ ->
+        if key lsr 20 = ipid then stale := key :: !stale);
+    List.iter (Flat_map.remove map) !stale
+  | Rest { keys; _ } ->
+    Array.iteri
+      (fun w key -> if key >= 0 && key lsr 20 = ipid then keys.(w) <- -1)
+      keys
+
+(* Sanitizer audit: every backstop line must still describe a pinned,
+   resident page with the host's frame. Backstop hits bypass the table
+   walk, so a stale line would silently mistranslate. *)
+let audit_store t san =
+  let check zone key frame =
+    let pid = Pid.of_int (key lsr 20) and vpn = key land 0xFFFFF in
+    match Host_memory.translate t.host pid ~vpn with
+    | Some f when f = frame ->
+      if Host_memory.pin_count t.host pid ~vpn = 0 then
+        Sanitizer.recordf san ~code:"UV05"
+          "%a vpn=%#x: %s holds a translation for an unpinned page" Pid.pp
+          pid vpn zone
+    | Some f ->
+      Sanitizer.recordf san ~code:"UV04"
+        "%a vpn=%#x: %s frame %d disagrees with host frame %d" Pid.pp pid vpn
+        zone frame f
+    | None ->
+      Sanitizer.recordf san ~code:"UV04"
+        "%a vpn=%#x: %s translation for a non-resident page" Pid.pp pid vpn
+        zone
+  in
+  match t.store with
+  | Bare -> ()
+  | Victims { map; _ } ->
+    Flat_map.iter map (fun key ~v0:frame ~v1:_ ->
+        check "victim store" key frame)
+  | Rest { keys; frames; _ } ->
+    Array.iteri
+      (fun w key -> if key >= 0 then check "RestSeg" key frames.(w))
+      keys
 
 let add_process t pid =
   if not (Pid_table.mem t.procs pid) then begin
@@ -157,6 +344,7 @@ let remove_process t pid =
            walk finds %d"
           Pid.pp pid leaked recount);
     ignore (Ni_cache.invalidate_process t.cache ~pid);
+    purge t pid;
     if t.ten_active then
       Arbiter.note_unpin t.tenancy ~pid:(Pid.to_int pid) ~pages:!released;
     Pid_table.remove t.procs pid;
@@ -189,6 +377,7 @@ let unpin_one t pid p victim =
     Arbiter.note_unpin t.tenancy ~pid:(Pid.to_int pid) ~pages:1;
   Bitvec.clear p.pinned victim;
   Translation_table.invalidate p.table ~vpn:victim;
+  drop t pid victim;
   if Ni_cache.invalidate t.cache ~pid ~vpn:victim then
     Miss_classifier.note_invalidate t.classifier ~pid ~vpn:victim
 
@@ -238,7 +427,8 @@ let pin_runs t pid p nruns ~budget =
           let page = start + j in
           Bitvec.set p.pinned page;
           Translation_table.install p.table ~vpn:page ~frame:frames.(j);
-          Replacement.insert p.tracker page
+          Replacement.insert p.tracker page;
+          place t pid page frames.(j)
         done;
         if t.ten_active then
           Arbiter.note_pin t.tenancy ~pid:(Pid.to_int pid) ~pages:count;
@@ -283,13 +473,14 @@ let fill_cache t pid vpn frame =
   t.san.san_fill t pid vpn frame;
   match Ni_cache.insert t.cache ~pid ~vpn ~frame with
   | None -> ()
-  | Some (evicted_pid, evicted_vpn, _frame) ->
+  | Some (evicted_pid, evicted_vpn, evicted_frame) ->
     if t.ten_active then
       Arbiter.note_eviction t.tenancy
         ~victim_pid:(Pid.to_int evicted_pid)
         ~by_pid:(Pid.to_int pid);
     observe t ~pid:evicted_pid ~vpn:evicted_vpn ~count:Probe.no_count
-      Ev.Ni_evict
+      Ev.Ni_evict;
+    spill t evicted_pid evicted_vpn evicted_frame
 
 let note_recovery t pid ~vpn () =
   Option.iter Injector.note_recovery t.faults;
@@ -315,7 +506,8 @@ let serve_entry_via_interrupt t pid p vpn =
 
 (* NI-side translation of one page: Shared UTLB-Cache lookup, with a
    [prefetch]-entry fill on a miss. Only valid (pinned) translations are
-   cached; garbage entries are skipped. *)
+   cached; garbage entries are skipped. A RestSeg answers before the
+   cache, a victim store after a miss, before the table walk. *)
 let ni_translate t pid p vpn =
   (* Fault plane: a spurious invalidation may knock this page's line
      out just before the probe. It only becomes visible (and worth
@@ -331,6 +523,18 @@ let ni_translate t pid p vpn =
        observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
        true)
   in
+  if restseg_frame t pid vpn >= 0 then begin
+    (* RestSeg hit: one hashed probe, no set walk and no table fetch.
+       The miss classifier models only the flexible path, so it is not
+       told. *)
+    t.restseg_hits <- t.restseg_hits + 1;
+    if t.ten_active then
+      Arbiter.note_ni_access t.tenancy ~pid:(Pid.to_int pid) ~hit:true;
+    observe t ~pid ~vpn ~count:Probe.no_count Ev.Ni_hit;
+    if injected_invalidate then note_recovery t pid ~vpn ();
+    (0, 0)
+  end
+  else
   match Ni_cache.lookup t.cache ~pid ~vpn with
   | Some _ ->
     if t.ten_active then
@@ -343,6 +547,17 @@ let ni_translate t pid p vpn =
       Arbiter.note_ni_access t.tenancy ~pid:(Pid.to_int pid) ~hit:false;
     ignore (Miss_classifier.classify t.classifier ~pid ~vpn);
     observe t ~pid ~vpn ~count:Probe.no_count Ev.Ni_miss;
+    let recalled = recall t pid vpn in
+    if recalled >= 0 then begin
+      (* Recall: one direct read from the victim store refills the
+         cache. The miss still counts; the DMA walk and the fault plane
+         that shields it are skipped. *)
+      fill_cache t pid vpn recalled;
+      t.recalls <- t.recalls + 1;
+      if injected_invalidate then note_recovery t pid ~vpn ();
+      (1, 0)
+    end
+    else
     (* Fault plane: the second-level table holding this page may have
        been swapped out from under the NI; the existing Table_swapped
        recovery below then brings it back. *)
@@ -460,6 +675,7 @@ let run_invariants t =
               "%a vpn=%#x: Shared UTLB-Cache holds the garbage frame"
               Pid.pp pid vpn;
           check_cached_page t san pid p vpn);
+    audit_store t san;
     Pid_table.iter
       (fun pid p ->
         let bits = Bitvec.population p.pinned in
@@ -512,10 +728,21 @@ let compile_san = function
     }
 
 let create ?host ?sanitizer ?obs ?faults ?tenancy ~seed config =
-  if config.prefetch < 1 then
-    invalid_arg "Hier_engine.create: prefetch must be >= 1";
-  if config.prepin < 1 then
-    invalid_arg "Hier_engine.create: prepin must be >= 1";
+  validate config;
+  let store =
+    match config.backstop with
+    | Victim_store n when n > 0 ->
+      Victims { map = Flat_map.create (); ring = Array.make n (-1); cursor = 0 }
+    | Restseg { sets; ways } when ways > 0 ->
+      Rest
+        {
+          sets;
+          ways;
+          keys = Array.make (sets * ways) (-1);
+          frames = Array.make (sets * ways) 0;
+        }
+    | No_backstop | Victim_store _ | Restseg _ -> Bare
+  in
   let host = match host with Some h -> h | None -> Host_memory.create () in
   let cache = Ni_cache.create config.cache in
   let tenancy = Option.value ~default:Arbiter.none tenancy in
@@ -533,11 +760,15 @@ let create ?host ?sanitizer ?obs ?faults ?tenancy ~seed config =
     faults;
     tenancy;
     ten_active = Arbiter.active tenancy;
+    store;
     run_start = Array.make 8 0;
     run_len = Array.make 8 0;
     totals = Report.empty ~label:"utlb";
     table_swap_interrupts = 0;
     fault_interrupts = 0;
+    spills = 0;
+    recalls = 0;
+    restseg_hits = 0;
   }
 
 let lookup t ~pid ~vpn ~npages =
@@ -663,6 +894,9 @@ let report t ~label =
     compulsory = Miss_classifier.compulsory t.classifier;
     capacity = Miss_classifier.capacity_misses t.classifier;
     conflict = Miss_classifier.conflict t.classifier;
+    spills = t.spills;
+    recalls = t.recalls;
+    restseg_hits = t.restseg_hits;
     isolation = Arbiter.snapshot t.tenancy;
   }
 
@@ -676,15 +910,25 @@ let remove_and_report t ~label =
   List.iter (fun pid -> ignore (remove_process t pid)) (processes t);
   report t ~label
 
+let backstop_kind (config : config) =
+  match config.backstop with
+  | No_backstop -> Stepper.No_backstop
+  | Victim_store _ -> Stepper.Victim_store
+  | Restseg _ -> Stepper.Restseg
+
 let stepper (config : config) =
   Stepper.Hier
-    { prepin = config.prepin; limit_pages = config.memory_limit_pages }
+    {
+      prepin = config.prepin;
+      limit_pages = config.memory_limit_pages;
+      backstop = backstop_kind config;
+    }
 
 let cost_paths (config : config) ~npages =
   {
     Stepper.Cost.paths =
-      Stepper.Cost.hier_paths ~prefetch:config.prefetch ~prepin:config.prepin
-        ~npages;
+      Stepper.Cost.hier_paths (backstop_kind config) ~prefetch:config.prefetch
+        ~prepin:config.prepin ~npages;
     cache_entries = config.cache.Ni_cache.entries;
     prefetch = max 1 config.prefetch;
   }

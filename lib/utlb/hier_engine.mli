@@ -17,13 +17,41 @@
       fills the cache (entries still holding the garbage frame are not
       cached).
 
+    An optional {e backstop} sits next to the Shared UTLB-Cache, after
+    two modern designs (MICRO '23, see PAPERS.md):
+
+    + a {e victim store} (after Victima): a capacity eviction from the
+      cache spills the displaced line into a FIFO store of N lines
+      ({!Report.t.spills}); an NI miss first probes the store, and a
+      hit recalls the line with one direct read instead of a DMA table
+      walk ({!Report.t.recalls}). The miss still counts;
+    + a {e RestSeg} (after Utopia): a sets x ways hash-constrained
+      zone. A freshly pinned page claims a slot at pin time (a full set
+      leaves it on the flexible path; placement never displaces), and
+      an NI access that hits the zone resolves with one hashed probe
+      before the cache is touched ({!Report.t.restseg_hits}).
+
+    Unpinning drops the page's backstop line and process exit purges
+    the process's lines, so no backstop hit can resurface a stale
+    translation. A backstop sized to zero is no backstop: the engine
+    then matches the plain one exactly (same RNG draws, same report).
+
     The engine is deterministic from its seed and accumulates a
     {!Report.t}. It is used both by the trace-driven simulator and
     (page at a time) by the online VMMC integration. It satisfies
-    {!Engine_intf.S} (the driver packs it as the ["utlb"] mechanism). *)
+    {!Engine_intf.S}: the driver packs it as the ["utlb"] mechanism,
+    and as ["victima"] and ["utopia"] with a backstop
+    ({!Victima_engine}, {!Utopia_engine}). *)
 
 val mechanism : string
 (** ["utlb"]. *)
+
+type backstop =
+  | No_backstop
+  | Victim_store of int  (** Victim-store lines; 0 disables the store. *)
+  | Restseg of { sets : int; ways : int }
+      (** RestSeg geometry; [sets] must be a power of two when
+          [ways > 0], and [ways = 0] disables the zone. *)
 
 type config = {
   cache : Ni_cache.config;
@@ -31,11 +59,20 @@ type config = {
   prepin : int;  (** Contiguous pages pinned per check miss, >= 1. *)
   policy : Replacement.policy;
   memory_limit_pages : int option;  (** Per-process pinned-page cap. *)
+  backstop : backstop;
 }
 
 val default_config : config
 (** The paper's implementation defaults: 8 K-entry direct-mapped cache
-    with index offsetting, no prefetch, no pre-pin, LRU, no limit. *)
+    with index offsetting, no prefetch, no pre-pin, LRU, no limit, no
+    backstop. *)
+
+val validate : config -> unit
+(** Accept exactly the configurations {!create} accepts; the registry
+    calls it so checkers reject what the engine would refuse.
+    @raise Invalid_argument on a non-positive prefetch/prepin, an
+    invalid cache geometry, a negative backstop size, or a
+    non-power-of-two RestSeg set count. *)
 
 type t
 
@@ -66,9 +103,10 @@ val create :
     (retried with exponential backoff; an exhausted budget falls back
     to interrupt-path service of the faulting entry), spurious cache
     invalidations, and table swap-outs — every recovery is counted in
-    the report's [fault_recoveries].
-    @raise Invalid_argument on a non-positive prefetch/prepin or an
-    invalid cache geometry. *)
+    the report's [fault_recoveries]. A recall skips the walk and so
+    the fault plane's swap and DMA draws. The sanitizer also audits
+    every backstop line at {!run_invariants}.
+    @raise Invalid_argument as {!validate}. *)
 
 val config : t -> config
 
@@ -84,8 +122,9 @@ val add_process : t -> Utlb_mem.Pid.t -> unit
 
 val remove_process : t -> Utlb_mem.Pid.t -> int
 (** Process exit: unpin every page the process still holds, drop its
-    Shared UTLB-Cache lines and translation table. Returns the number
-    of pages released. Unknown processes release 0. *)
+    Shared UTLB-Cache lines, backstop lines and translation table.
+    Returns the number of pages released. Unknown processes release
+    0. *)
 
 val processes : t -> Utlb_mem.Pid.t list
 (** Live processes, ascending pid. *)
@@ -108,7 +147,8 @@ type outcome = {
 
 val lookup : t -> pid:Utlb_mem.Pid.t -> vpn:int -> npages:int -> outcome
 (** Translate one communication buffer. Unknown processes are admitted
-    on first use.
+    on first use. A RestSeg hit counts as an NI hit; a recall counts as
+    an NI miss with zero entries fetched.
     @raise Invalid_argument if [npages < 1]. *)
 
 val is_pinned : t -> pid:Utlb_mem.Pid.t -> vpn:int -> bool
@@ -129,14 +169,16 @@ val run_invariants : t -> unit
     UTLB-Cache line must agree with its process's translation table and
     the host page table and point at a pinned, non-garbage frame; every
     process's pin accounting must agree across the user bit vector, the
-    host's incremental counter, and a full page-table walk; and the
-    miss classifier's shadow cache must be structurally consistent.
+    host's incremental counter, and a full page-table walk; every
+    backstop line must map a pinned, resident page with the host's
+    frame; and the miss classifier's shadow cache must be structurally
+    consistent.
     Intended at quiescent points (end of run, between phases). *)
 
 val stepper : config -> Stepper.semantics
 (** Step-level protocol view for [utlbcheck explore]: host-table
-    semantics ({!Stepper.Hier}) with this config's pre-pin window and
-    pinned-page limit. *)
+    semantics ({!Stepper.Hier}) with this config's pre-pin window,
+    pinned-page limit and backstop kind. *)
 
 val cost_paths : config -> npages:int -> Stepper.Cost.profile
 (** Worst-case priced control paths of one [npages]-page translation

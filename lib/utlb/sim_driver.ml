@@ -163,6 +163,24 @@ let cache_param params =
     associativity = assoc_param params ~default:Ni_cache.Direct;
   }
 
+(* The three hierarchical mechanisms share every parameter but the
+   backstop's. Validating here as well as at [create] makes the
+   checkers, which never create an engine, reject what it would
+   refuse. *)
+let hier_params params ~backstop =
+  let config =
+    {
+      Hier_engine.cache = cache_param params;
+      prefetch = int_param params "prefetch" ~default:1;
+      prepin = int_param params "prepin" ~default:1;
+      policy = policy_param params ~default:Replacement.Lru;
+      memory_limit_pages = limit_param params;
+      backstop;
+    }
+  in
+  Hier_engine.validate config;
+  config
+
 let () =
   Registry.register ~name:Hier_engine.mechanism
     ~doc:
@@ -171,13 +189,7 @@ let () =
     (fun params ->
       Packed
         ( (module Hier_engine),
-          {
-            Hier_engine.cache = cache_param params;
-            prefetch = int_param params "prefetch" ~default:1;
-            prepin = int_param params "prepin" ~default:1;
-            policy = policy_param params ~default:Replacement.Lru;
-            memory_limit_pages = limit_param params;
-          } ));
+          hier_params params ~backstop:Hier_engine.No_backstop ));
   Registry.register ~name:Intr_engine.mechanism
     ~doc:
       "interrupt-based baseline (params: entries, assoc, limit-mb)"
@@ -209,14 +221,10 @@ let () =
     (fun params ->
       Packed
         ( (module Victima_engine),
-          {
-            Victima_engine.cache = cache_param params;
-            prefetch = int_param params "prefetch" ~default:1;
-            prepin = int_param params "prepin" ~default:1;
-            policy = policy_param params ~default:Replacement.Lru;
-            memory_limit_pages = limit_param params;
-            victim_entries = int_param params "victim-entries" ~default:2048;
-          } ));
+          hier_params params
+            ~backstop:
+              (Hier_engine.Victim_store
+                 (int_param params "victim-entries" ~default:2048)) ));
   Registry.register ~name:Utopia_engine.mechanism
     ~doc:
       "Hierarchical-UTLB with a hash-constrained RestSeg zone in front \
@@ -225,12 +233,10 @@ let () =
     (fun params ->
       Packed
         ( (module Utopia_engine),
-          {
-            Utopia_engine.cache = cache_param params;
-            prefetch = int_param params "prefetch" ~default:1;
-            prepin = int_param params "prepin" ~default:1;
-            policy = policy_param params ~default:Replacement.Lru;
-            memory_limit_pages = limit_param params;
-            rest_sets = int_param params "rest-sets" ~default:2048;
-            rest_ways = int_param params "rest-ways" ~default:4;
-          } ))
+          hier_params params
+            ~backstop:
+              (Hier_engine.Restseg
+                 {
+                   sets = int_param params "rest-sets" ~default:2048;
+                   ways = int_param params "rest-ways" ~default:4;
+                 }) ))

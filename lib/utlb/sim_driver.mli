@@ -100,13 +100,15 @@ val compare_mechanisms :
 (** Registry of translation mechanisms by name.
 
     Each entry maps string parameters (the axes of a campaign grid, or
-    [key=value] pairs from a grid file) to a packed engine. The three
-    built-in designs register themselves when this module loads; new
+    [key=value] pairs from a grid file) to a packed engine. The
+    built-in mechanisms (["utlb"], ["victima"], ["utopia"], ["intr"],
+    ["per-process"]) register themselves when this module loads; new
     designs call {!Registry.register} once and become available to
     [Utlb_exp] campaigns, [utlbsim sweep]/[list], and the bench tables
     with no driver changes. Parameter constructors ignore keys they do
     not understand (so one grid can carry axes for several mechanisms)
-    and raise [Invalid_argument] on malformed values. *)
+    and raise [Invalid_argument] on malformed values and on
+    configurations the engine's [create] would refuse. *)
 module Registry : sig
   type entry = {
     name : string;  (** Lower-case registry key. *)

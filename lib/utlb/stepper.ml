@@ -5,19 +5,19 @@ module Record = Utlb_trace.Record
 
 (* {2 Semantics} *)
 
+type backstop = No_backstop | Victim_store | Restseg
+
 type semantics =
-  | Hier of { prepin : int; limit_pages : int option }
+  | Hier of { prepin : int; limit_pages : int option; backstop : backstop }
   | Intr of { entries : int; limit_pages : int option }
   | Static of { processes : int; share : int }
-  | Victima of { prepin : int; limit_pages : int option }
-  | Utopia of { prepin : int; limit_pages : int option }
 
 let mechanism = function
-  | Hier _ -> "utlb"
+  | Hier { backstop = No_backstop; _ } -> "utlb"
+  | Hier { backstop = Victim_store; _ } -> "victima"
+  | Hier { backstop = Restseg; _ } -> "utopia"
   | Intr _ -> "intr"
   | Static _ -> "per-process"
-  | Victima _ -> "victima"
-  | Utopia _ -> "utopia"
 
 (* {2 Requests, mutants, scope} *)
 
@@ -174,11 +174,8 @@ let in_active st pid vpn =
   | exception Not_found -> false
 
 let capacity = function
-  | Hier { limit_pages = Some l; _ }
-  | Intr { limit_pages = Some l; _ }
-  | Victima { limit_pages = Some l; _ }
-  | Utopia { limit_pages = Some l; _ } -> l
-  | Hier _ | Intr _ | Victima _ | Utopia _ -> max_int
+  | Hier { limit_pages = Some l; _ } | Intr { limit_pages = Some l; _ } -> l
+  | Hier _ | Intr _ -> max_int
   | Static { share; _ } -> share
 
 let population st pid =
@@ -187,21 +184,21 @@ let population st pid =
 (* Under intr, cached = pinned: evicting a line unpins its page, so
    lines of an in-flight span are protected. The hierarchical cache is
    only an accelerator (translations survive in the host table), so
-   any line may be dropped harmlessly — and the same holds for the
-   victima victim store and the utopia RestSeg, both of which are
-   host-resident acceleration structures over the same pin ledger. *)
+   any line may be dropped harmlessly — and so may a backstop line
+   (victim store or RestSeg): both are acceleration structures over
+   the same pin ledger. *)
 let protected_entry sem st (owner, vpn) =
   match sem with
   | Intr _ -> in_active st owner vpn
-  | Hier _ | Static _ | Victima _ | Utopia _ -> false
+  | Hier _ | Static _ -> false
 
 let first_pin_sub = function
   | Intr _ -> Irq_pending
-  | Hier _ | Static _ | Victima _ | Utopia _ -> Pin_pending
+  | Hier _ | Static _ -> Pin_pending
 
 let first_xfer_sub = function
   | Static _ -> Use_pending
-  | Hier _ | Intr _ | Victima _ | Utopia _ -> Fetch_pending
+  | Hier _ | Intr _ -> Fetch_pending
 
 (* {2 Violations} *)
 
@@ -234,9 +231,7 @@ let issue_checks sem st pid (req : request) =
       (req.vpn + n - 1)
       max_vpn;
   (match sem with
-  | Hier { prepin; limit_pages }
-  | Victima { prepin; limit_pages }
-  | Utopia { prepin; limit_pages } -> (
+  | Hier { prepin; limit_pages; _ } -> (
     match limit_pages with
     | None -> ()
     | Some l ->
@@ -492,7 +487,7 @@ let apply scope sem st action =
             table = sorted_remove (pid, vpn) st.table;
           },
           viols )
-      | Hier _ | Static _ | Victima _ | Utopia _ -> (st, [])
+      | Hier _ | Static _ -> (st, [])
     in
     (st, viols)
   | Use { pid; vpn } ->
@@ -654,7 +649,7 @@ module Cost = struct
      every page of the buffer take the slow chain independently. *)
   let per_page n steps = List.concat (repeat n steps)
 
-  let hier_paths ~prefetch ~prepin ~npages =
+  let hier_paths backstop ~prefetch ~prepin ~npages =
     let n = max 1 npages in
     let prefetch = max 1 prefetch in
     (* Widest pin ioctl the pre-pin window allows (Section 6.5): the
@@ -662,19 +657,47 @@ module Cost = struct
        each of those pins may first reclaim one victim with a
        single-page unpin. *)
     let span = n + max 1 prepin - 1 in
-    [
-      { path = "hit"; steps = Check n :: repeat n Ni_hit };
+    (* The slow chain: pin the span, walk every page (behind [probe]),
+       reclaim one victim per pinned page. *)
+    let walk name probe extra =
       {
-        path = "ni-miss";
-        steps = Check n :: per_page n [ Ni_hit; Walk prefetch ];
-      };
-      {
-        path = "walk";
+        path = name;
         steps =
-          (Check n :: Pin span :: per_page n [ Ni_hit; Walk prefetch ])
+          (Check n :: Pin span
+          :: per_page n (probe @ [ Ni_hit; Walk prefetch ] @ extra))
           @ repeat span (Unpin 1);
-      };
-    ]
+      }
+    in
+    let plain =
+      [
+        { path = "hit"; steps = Check n :: repeat n Ni_hit };
+        {
+          path = "ni-miss";
+          steps = Check n :: per_page n [ Ni_hit; Walk prefetch ];
+        };
+        walk "walk" [] [];
+      ]
+    in
+    match backstop with
+    | No_backstop -> plain
+    | Victim_store ->
+      plain
+      @ [
+          {
+            path = "recall";
+            steps = Check n :: per_page n [ Ni_hit; Ni_direct ];
+          };
+          walk "spill-walk" [] [ Dma 1 ];
+        ]
+    | Restseg ->
+      [
+        { path = "restseg-hit"; steps = Check n :: repeat n Ni_direct };
+        {
+          path = "probe-hit";
+          steps = Check n :: per_page n [ Ni_direct; Ni_hit ];
+        };
+        walk "restseg-fallback" [ Ni_direct ] [];
+      ]
 
   let intr_paths ~npages =
     let n = max 1 npages in
@@ -696,42 +719,6 @@ module Cost = struct
         steps =
           (Check n :: Pin n :: per_page n [ Ni_hit; Walk 1; Ni_direct ])
           @ repeat n (Unpin 1);
-      };
-    ]
-
-  let victima_paths ~prefetch ~prepin ~npages =
-    let n = max 1 npages in
-    let span = n + max 1 prepin - 1 in
-    hier_paths ~prefetch ~prepin ~npages
-    @ [
-        {
-          path = "recall";
-          steps = Check n :: per_page n [ Ni_hit; Ni_direct ];
-        };
-        {
-          path = "spill-walk";
-          steps =
-            (Check n :: Pin span
-            :: per_page n [ Ni_hit; Walk (max 1 prefetch); Dma 1 ])
-            @ repeat span (Unpin 1);
-        };
-      ]
-
-  let utopia_paths ~prefetch ~prepin ~npages =
-    let n = max 1 npages in
-    let span = n + max 1 prepin - 1 in
-    [
-      { path = "restseg-hit"; steps = Check n :: repeat n Ni_direct };
-      {
-        path = "probe-hit";
-        steps = Check n :: per_page n [ Ni_direct; Ni_hit ];
-      };
-      {
-        path = "restseg-fallback";
-        steps =
-          (Check n :: Pin span
-          :: per_page n [ Ni_direct; Ni_hit; Walk (max 1 prefetch) ])
-          @ repeat span (Unpin 1);
       };
     ]
 end

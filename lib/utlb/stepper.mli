@@ -16,8 +16,9 @@
 
     with background [unpin] (and, when the NI cache is full, [evict])
     actions interleaving freely. Each engine derives its semantics via
-    {!Engine_intf.S.stepper}: the hierarchical UTLB keeps
-    translations in the host table (evictions are harmless), the
+    {!Engine_intf.S.stepper}: the hierarchical UTLB (with or without a
+    backstop) keeps translations in the host table (evictions are
+    harmless), the
     interrupt baseline equates cached with pinned (evictions unpin),
     and the per-process tables skip the NI fetch but live under a
     static share.
@@ -38,22 +39,26 @@
 
 (** {2 Semantics} *)
 
+(** The structure a hierarchical engine keeps next to its Shared
+    UTLB-Cache ({!Hier_engine.backstop}, here without its size). A
+    backstop never changes the pin ledger, only where the NI finds a
+    translation, so the step relation ignores it; it only names the
+    mechanism and selects the cost paths. *)
+type backstop =
+  | No_backstop  (** The paper's engine (["utlb"]). *)
+  | Victim_store  (** Capacity evictions spill, misses recall (["victima"]). *)
+  | Restseg  (** Hashed zone probed before the cache (["utopia"]). *)
+
 type semantics =
-  | Hier of { prepin : int; limit_pages : int option }
+  | Hier of { prepin : int; limit_pages : int option; backstop : backstop }
   | Intr of { entries : int; limit_pages : int option }
   | Static of { processes : int; share : int }
-  | Victima of { prepin : int; limit_pages : int option }
-      (** Hierarchical semantics: the victim store is a host-resident
-          accelerator, so evictions stay harmless. *)
-  | Utopia of { prepin : int; limit_pages : int option }
-      (** Hierarchical semantics: RestSeg placement never changes the
-          pin ledger, only where the NI finds the translation. *)
 (** The capacity parameters the step relation needs, derived from an
     engine config by {!Engine_intf.S.stepper}. *)
 
 val mechanism : semantics -> string
-(** Registry name of the engine family: ["utlb"], ["intr"],
-    ["per-process"], ["victima"], or ["utopia"]. *)
+(** Registry name of the engine family: ["utlb"], ["victima"] or
+    ["utopia"] (by backstop), ["intr"], or ["per-process"]. *)
 
 (** {2 Requests, mutants, scope} *)
 
@@ -198,8 +203,8 @@ val terminal_violations : scope -> semantics -> state -> violation list
     abstract-interprets. Each engine enumerates — via
     {!Engine_intf.S.cost_paths} — the control paths one translation of
     [npages] pages can take through its protocol (hit, miss, walk,
-    reclaim, plus engine-specific chains such as Victima's
-    spill-recall or Utopia's RestSeg fallback) as sequences of priced
+    reclaim, plus backstop chains such as the victim store's
+    spill-recall or the RestSeg fallback) as sequences of priced
     steps. {!Utlb_check.Bound} prices every step against the
     {!Cost_model} (adding the fault plan's worst-case surcharge at
     walk and interrupt steps) and takes the per-path maximum as a
@@ -237,11 +242,18 @@ module Cost : sig
     prefetch : int;  (** Entries fetched per miss walk. *)
   }
 
-  val hier_paths : prefetch:int -> prepin:int -> npages:int -> path list
+  val hier_paths :
+    backstop -> prefetch:int -> prepin:int -> npages:int -> path list
   (** Hierarchical-UTLB family: [hit], [ni-miss] (every page walks),
       and [walk] (every page also check-misses: one pin ioctl over the
-      pre-pin span, then a single-page reclaim unpin per pinned
-      page). *)
+      pre-pin span, then a single-page reclaim unpin per pinned page).
+      A victim store adds [recall] (miss served from the store: a
+      direct read instead of a walk) and [spill-walk] (every fill also
+      spills an evicted line: one extra single-entry DMA per page). A
+      RestSeg replaces the three with [restseg-hit] (hashed direct
+      placement), [probe-hit] (RestSeg probe misses, cache probe hits)
+      and [restseg-fallback] (the walk chain behind a wasted RestSeg
+      probe per page). *)
 
   val intr_paths : npages:int -> path list
   (** Interrupt baseline: [hit], [miss] (interrupt + kernel pin per
@@ -252,16 +264,4 @@ module Cost : sig
   (** Per-process tables: [hit] (direct SRAM reads) and [miss] (pin,
       single-entry table fill per page, one reclaim unpin per
       page). *)
-
-  val victima_paths : prefetch:int -> prepin:int -> npages:int -> path list
-  (** {!hier_paths} plus [recall] (miss served from the victim store:
-      a direct read instead of a walk) and [spill-walk] (every fill
-      also spills an evicted line to the store: one extra single-entry
-      DMA per page). *)
-
-  val utopia_paths : prefetch:int -> prepin:int -> npages:int -> path list
-  (** [restseg-hit] (hashed direct placement), [probe-hit] (RestSeg
-      probe misses, cache probe hits), and [restseg-fallback] (both
-      probes miss on every page: the full walk chain behind a wasted
-      RestSeg probe per page). *)
 end

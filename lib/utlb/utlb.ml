@@ -12,13 +12,13 @@
     - {!Hier_engine}: the Hierarchical-UTLB — host-resident two-level
       {!Translation_table}, user-level {!Bitvec} pin tracking, and the
       {!Ni_cache} (Shared UTLB-Cache) with prefetching (Sections
-      3.2-3.3) — the design the paper evaluates as "UTLB";
+      3.2-3.3) — the design the paper evaluates as "UTLB". An optional
+      backstop adds one of two modern structures (MICRO '23, see
+      PAPERS.md): an L2 victim store behind the Shared UTLB-Cache
+      ({!Victima_engine}) or a hash-constrained RestSeg zone in front
+      of it ({!Utopia_engine});
     - {!Intr_engine}: the interrupt-based baseline it is compared
       against (Section 6.2);
-    - {!Victima_engine} and {!Utopia_engine}: two modern competitors
-      (MICRO '23, see PAPERS.md) rebuilt on the UTLB substrate — an L2
-      victim store behind the Shared UTLB-Cache, and a
-      hash-constrained RestSeg zone in front of it;
     - {!Replacement}: the five user-level replacement policies
       (Section 3.4);
     - {!Miss_classifier}: three-C miss decomposition (Figure 7);

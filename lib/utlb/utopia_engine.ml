@@ -1,745 +1,15 @@
-(* Utopia-style engine: the hierarchical UTLB with a hash-constrained
-   RestSeg zone in front of the Shared UTLB-Cache. Pinned pages claim a
-   slot in the restrictive segment at pin time (hashed direct
-   placement, bounded ways per set); NI accesses that hit the RestSeg
-   resolve with one hashed probe — no set walk, no table fetch. Pages
-   the RestSeg cannot place fall back to the flexible path, which is
-   exactly the hierarchical engine. *)
+(* The utopia mechanism: the hierarchical engine with a hash-constrained
+   RestSeg zone in front of the Shared UTLB-Cache (see Hier_engine's
+   backstops), after "Utopia: Fast and Efficient Address Translation
+   via Hybrid Restrictive & Flexible Virtual-to-Physical Address
+   Mappings" (MICRO '23). *)
 
-module Pid = Utlb_mem.Pid
-module Host_memory = Utlb_mem.Host_memory
-module Rng = Utlb_sim.Rng
-module Sanitizer = Utlb_sim.Sanitizer
-module Probe = Utlb_obs.Probe
-module Ev = Utlb_obs.Event
-module Injector = Utlb_fault.Injector
-module Arbiter = Utlb_tenant.Arbiter
-
-let log_src = Logs.Src.create "utlb.utopia" ~doc:"Utopia engine"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
-type config = {
-  cache : Ni_cache.config;
-  prefetch : int;
-  prepin : int;
-  policy : Replacement.policy;
-  memory_limit_pages : int option;
-  rest_sets : int;
-  rest_ways : int;
-}
-
-let default_config =
-  {
-    cache = { Ni_cache.entries = 8192; associativity = Ni_cache.Direct };
-    prefetch = 1;
-    prepin = 1;
-    policy = Replacement.Lru;
-    memory_limit_pages = None;
-    rest_sets = 2048;
-    rest_ways = 4;
-  }
-
-module Pid_table = Hashtbl.Make (struct
-  type t = Pid.t
-
-  let equal = Pid.equal
-
-  let hash = Pid.hash
-end)
-
-type process = {
-  pinned : Bitvec.t;
-  table : Translation_table.t;
-  tracker : Replacement.t;
-}
-
-type san = {
-  san_active : bool;
-  san_fill : t -> Pid.t -> int -> int -> unit;
-  san_pages : t -> Pid.t -> process -> int -> int -> unit;
-}
-
-and t = {
-  config : config;
-  host : Host_memory.t;
-  cache : Ni_cache.t;
-  classifier : Miss_classifier.t;
-  rng : Rng.t;
-  procs : process Pid_table.t;
-  sanitizer : Sanitizer.t option;
-  san : san;
-  probe : Probe.t;
-  faults : Injector.t option;
-  tenancy : Arbiter.t;
-  ten_active : bool;
-  (* The RestSeg: rest_sets x rest_ways flat key/frame arrays. A key of
-     -1 marks a free way. Placement is hash-constrained: a page may
-     only live in the ways of its hashed set, so a probe touches one
-     set and nothing else. *)
-  rest_keys : int array;
-  rest_frames : int array;
-  mutable run_start : int array;
-  mutable run_len : int array;
-  mutable totals : Report.t;
-  mutable table_swap_interrupts : int;
-  mutable fault_interrupts : int;
-}
-
-let observe t ~pid ~vpn ~count kind =
-  t.probe.Probe.emit kind ~pid:(Pid.to_int pid) ~vpn ~count
-
-let config t = t.config
-
-let host t = t.host
-
-let cache t = t.cache
-
-let classifier t = t.classifier
-
-(* RestSeg keys pack (pid, vpn); vpns fit Translation_table's 20
-   bits. *)
-let rkey pid vpn = (Pid.to_int pid lsl 20) lor vpn
-
-(* Fibonacci-hash the key into a set index (rest_sets is a power of
-   two, so masking the mixed low bits is uniform enough). *)
-let rest_set t key =
-  let h = key * 0x9E3779B1 in
-  (h lxor (h lsr 11)) land (t.config.rest_sets - 1)
-
-(* Claim a RestSeg slot for a freshly pinned page. Restrictive
-   placement never displaces: a full set simply leaves the page on the
-   flexible path. *)
-let rest_place t pid vpn frame =
-  if t.config.rest_ways > 0 then begin
-    let key = rkey pid vpn in
-    let base = rest_set t key * t.config.rest_ways in
-    let placed = ref false in
-    let free = ref (-1) in
-    for w = 0 to t.config.rest_ways - 1 do
-      let k = t.rest_keys.(base + w) in
-      if k = key then begin
-        t.rest_frames.(base + w) <- frame;
-        placed := true
-      end
-      else if k < 0 && !free < 0 then free := base + w
-    done;
-    if (not !placed) && !free >= 0 then begin
-      t.rest_keys.(!free) <- key;
-      t.rest_frames.(!free) <- frame
-    end
-  end
-
-let rest_drop t pid vpn =
-  if t.config.rest_ways > 0 then begin
-    let key = rkey pid vpn in
-    let base = rest_set t key * t.config.rest_ways in
-    for w = 0 to t.config.rest_ways - 1 do
-      if t.rest_keys.(base + w) = key then t.rest_keys.(base + w) <- -1
-    done
-  end
-
-let rest_probe t pid vpn =
-  if t.config.rest_ways = 0 then None
-  else begin
-    let key = rkey pid vpn in
-    let base = rest_set t key * t.config.rest_ways in
-    let frame = ref (-1) in
-    for w = 0 to t.config.rest_ways - 1 do
-      if t.rest_keys.(base + w) = key then frame := t.rest_frames.(base + w)
-    done;
-    if !frame < 0 then None else Some !frame
-  end
-
-let add_process t pid =
-  if not (Pid_table.mem t.procs pid) then begin
-    Host_memory.add_process t.host pid;
-    let table =
-      Translation_table.create
-        ~garbage_frame:(Host_memory.garbage_frame t.host)
-        ~pid ()
-    in
-    Pid_table.replace t.procs pid
-      {
-        pinned = Bitvec.create ();
-        table;
-        tracker = Replacement.create t.config.policy ~rng:(Rng.split t.rng);
-      };
-    if t.ten_active then
-      match Arbiter.window t.tenancy ~pid:(Pid.to_int pid) with
-      | None -> ()
-      | Some (base, mask, offset) ->
-        Ni_cache.set_window t.cache ~pid ~base ~mask ~offset
-  end
-
-let proc t pid =
-  match Pid_table.find_opt t.procs pid with
-  | Some p -> p
-  | None -> invalid_arg "Utopia_engine: unknown process"
-
-let remove_process t pid =
-  match Pid_table.find_opt t.procs pid with
-  | None -> 0
-  | Some p ->
-    let released = ref 0 in
-    Translation_table.iter_valid p.table (fun vpn _frame ->
-        Host_memory.unpin t.host pid ~vpn ~count:1;
-        rest_drop t pid vpn;
-        incr released);
-    (match t.sanitizer with
-    | None -> ()
-    | Some san ->
-      let bits = Bitvec.population p.pinned in
-      if bits <> !released then
-        Sanitizer.recordf san ~code:"UV01"
-          "%a exit: pin bit vector tracks %d pages but the translation \
-           table released %d"
-          Pid.pp pid bits !released;
-      let leaked = Host_memory.pinned_pages t.host pid in
-      if leaked <> 0 then
-        Sanitizer.recordf san ~code:"UV01"
-          "%a exit: %d pages still pinned after releasing the \
-           translation table (pin leak)"
-          Pid.pp pid leaked;
-      let recount = Host_memory.recount_pinned t.host pid in
-      if recount <> leaked then
-        Sanitizer.recordf san ~code:"UV08"
-          "%a exit: host pin counter says %d pinned pages but a table \
-           walk finds %d"
-          Pid.pp pid leaked recount);
-    ignore (Ni_cache.invalidate_process t.cache ~pid);
-    if t.ten_active then
-      Arbiter.note_unpin t.tenancy ~pid:(Pid.to_int pid) ~pages:!released;
-    Pid_table.remove t.procs pid;
-    Log.debug (fun m ->
-        m "%a exit: released %d pinned pages" Pid.pp pid !released);
-    !released
-
-let table t pid = (proc t pid).table
-
-let pinned_pages t pid = Bitvec.population (proc t pid).pinned
-
-type outcome = {
-  check_miss : bool;
-  pages_pinned : int;
-  pin_calls : int;
-  pages_unpinned : int;
-  unpin_calls : int;
-  ni_accesses : int;
-  ni_misses : int;
-  entries_fetched : int;
-}
-
-let unpin_one t pid p victim =
-  Log.debug (fun m -> m "%a evict+unpin vpn=%#x" Pid.pp pid victim);
-  observe t ~pid ~vpn:victim ~count:1 Ev.Unpin;
-  Host_memory.unpin t.host pid ~vpn:victim ~count:1;
-  if t.ten_active then
-    Arbiter.note_unpin t.tenancy ~pid:(Pid.to_int pid) ~pages:1;
-  Bitvec.clear p.pinned victim;
-  Translation_table.invalidate p.table ~vpn:victim;
-  rest_drop t pid victim;
-  if Ni_cache.invalidate t.cache ~pid ~vpn:victim then
-    Miss_classifier.note_invalidate t.classifier ~pid ~vpn:victim
-
-let enforce_limit t pid p ~incoming ~request_vpn ~request_npages =
-  match t.config.memory_limit_pages with
-  | None -> 0
-  | Some limit ->
-    let protect page =
-      page >= request_vpn && page < request_vpn + request_npages
-    in
-    let unpinned = ref 0 in
-    let continue = ref true in
-    while !continue && Bitvec.population p.pinned + incoming > limit do
-      match Replacement.select_victim p.tracker ~protect () with
-      | None -> continue := false
-      | Some victim ->
-        unpin_one t pid p victim;
-        incr unpinned
-    done;
-    !unpinned
-
-(* Pin the stashed clear runs; freshly pinned pages additionally claim
-   their RestSeg slot (this is the restrictive-placement moment: the
-   kernel knows the frame right here). *)
-let pin_runs t pid p nruns ~budget =
-  let calls = ref 0 and total = ref 0 in
-  for i = 0 to nruns - 1 do
-    let start = t.run_start.(i) in
-    let count = min t.run_len.(i) (budget - !total) in
-    if count > 0 then begin
-      match Host_memory.pin t.host pid ~vpn:start ~count with
-      | Error `Out_of_memory -> ()
-      | Ok frames ->
-        observe t ~pid ~vpn:start ~count Ev.Pin;
-        for j = 0 to count - 1 do
-          let page = start + j in
-          Bitvec.set p.pinned page;
-          Translation_table.install p.table ~vpn:page ~frame:frames.(j);
-          Replacement.insert p.tracker page;
-          rest_place t pid page frames.(j)
-        done;
-        if t.ten_active then
-          Arbiter.note_pin t.tenancy ~pid:(Pid.to_int pid) ~pages:count;
-        incr calls;
-        total := !total + count
-    end
-  done;
-  (!calls, !total)
-
-let enforce_quota t pid p ~incoming ~request_vpn ~request_npages =
-  if not t.ten_active then (0, incoming)
-  else begin
-    let ipid = Pid.to_int pid in
-    let protect page =
-      page >= request_vpn && page < request_vpn + request_npages
-    in
-    let unpinned = ref 0 in
-    let continue = ref true in
-    while !continue && incoming > Arbiter.quota_remaining t.tenancy ~pid:ipid
-    do
-      match Replacement.select_victim p.tracker ~protect () with
-      | None -> continue := false
-      | Some victim ->
-        unpin_one t pid p victim;
-        incr unpinned
-    done;
-    let budget = min incoming (Arbiter.quota_remaining t.tenancy ~pid:ipid) in
-    if budget < incoming then
-      Arbiter.note_denied t.tenancy ~pid:ipid ~pages:(incoming - budget);
-    (!unpinned, budget)
-  end
-
-let fill_cache t pid vpn frame =
-  t.san.san_fill t pid vpn frame;
-  match Ni_cache.insert t.cache ~pid ~vpn ~frame with
-  | None -> ()
-  | Some (evicted_pid, evicted_vpn, _frame) ->
-    if t.ten_active then
-      Arbiter.note_eviction t.tenancy
-        ~victim_pid:(Pid.to_int evicted_pid)
-        ~by_pid:(Pid.to_int pid);
-    observe t ~pid:evicted_pid ~vpn:evicted_vpn ~count:Probe.no_count
-      Ev.Ni_evict
-
-let note_recovery t pid ~vpn () =
-  Option.iter Injector.note_recovery t.faults;
-  observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_recover;
-  t.totals <-
-    { t.totals with Report.fault_recoveries = t.totals.Report.fault_recoveries + 1 }
-
-let serve_entry_via_interrupt t pid p vpn =
-  t.fault_interrupts <- t.fault_interrupts + 1;
-  observe t ~pid ~vpn ~count:Probe.no_count Ev.Interrupt;
-  match Translation_table.lookup p.table ~vpn with
-  | Translation_table.Frame frame -> fill_cache t pid vpn frame
-  | Translation_table.Garbage -> ()
-  | Translation_table.Table_swapped _ ->
-    ignore (Translation_table.swap_in p.table ~dir_index:(vpn lsr 10));
-    (match Translation_table.lookup p.table ~vpn with
-    | Translation_table.Frame frame -> fill_cache t pid vpn frame
-    | Translation_table.Garbage | Translation_table.Table_swapped _ -> ())
-
-(* NI-side translation of one page: RestSeg first (hashed direct
-   placement — a hit never touches the set-associative cache or the
-   miss classifier, which model only the flexible path), then the
-   hierarchical flexible path verbatim. *)
-let ni_translate t pid p vpn =
-  let injected_invalidate =
-    match t.faults with
-    | None -> false
-    | Some inj ->
-      Injector.cache_invalidate inj
-      && Ni_cache.invalidate t.cache ~pid ~vpn
-      &&
-      (Miss_classifier.note_invalidate t.classifier ~pid ~vpn;
-       observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
-       true)
-  in
-  match rest_probe t pid vpn with
-  | Some _frame ->
-    t.totals <-
-      { t.totals with Report.restseg_hits = t.totals.Report.restseg_hits + 1 };
-    if t.ten_active then
-      Arbiter.note_ni_access t.tenancy ~pid:(Pid.to_int pid) ~hit:true;
-    observe t ~pid ~vpn ~count:Probe.no_count Ev.Ni_hit;
-    if injected_invalidate then note_recovery t pid ~vpn ();
-    (0, 0)
-  | None -> (
-    match Ni_cache.lookup t.cache ~pid ~vpn with
-    | Some _ ->
-      if t.ten_active then
-        Arbiter.note_ni_access t.tenancy ~pid:(Pid.to_int pid) ~hit:true;
-      Miss_classifier.note_hit t.classifier ~pid ~vpn;
-      observe t ~pid ~vpn ~count:Probe.no_count Ev.Ni_hit;
-      (0, 0)
-    | None ->
-      if t.ten_active then
-        Arbiter.note_ni_access t.tenancy ~pid:(Pid.to_int pid) ~hit:false;
-      ignore (Miss_classifier.classify t.classifier ~pid ~vpn);
-      observe t ~pid ~vpn ~count:Probe.no_count Ev.Ni_miss;
-      let injected_swap =
-        match t.faults with
-        | None -> false
-        | Some inj ->
-          Injector.table_swap inj
-          && Translation_table.swap_out p.table ~dir_index:(vpn lsr 10)
-               ~disk_block:1
-          &&
-          (observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
-           true)
-      in
-      let dma =
-        match t.faults with
-        | None -> Some 0
-        | Some inj -> Injector.dma_attempts inj
-      in
-      let fetched = ref 0 in
-      (match dma with
-      | None ->
-        let retries =
-          match t.faults with
-          | Some inj -> max 0 (Injector.plan inj).Utlb_fault.Plan.dma_retries
-          | None -> 0
-        in
-        observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
-        observe t ~pid ~vpn ~count:(1 + retries) Ev.Fault_retry;
-        serve_entry_via_interrupt t pid p vpn;
-        note_recovery t pid ~vpn ()
-      | Some failed ->
-        if failed > 0 then begin
-          observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
-          observe t ~pid ~vpn ~count:failed Ev.Fault_retry
-        end;
-        for q = vpn to vpn + t.config.prefetch - 1 do
-          if q <= Translation_table.max_vpn then begin
-            match Translation_table.lookup p.table ~vpn:q with
-            | Translation_table.Frame frame ->
-              incr fetched;
-              fill_cache t pid q frame
-            | Translation_table.Garbage -> ()
-            | Translation_table.Table_swapped _ ->
-              t.table_swap_interrupts <- t.table_swap_interrupts + 1;
-              observe t ~pid ~vpn:q ~count:Probe.no_count Ev.Interrupt;
-              ignore
-                (Translation_table.swap_in p.table ~dir_index:(q lsr 10));
-              (match Translation_table.lookup p.table ~vpn:q with
-              | Translation_table.Frame frame ->
-                incr fetched;
-                fill_cache t pid q frame
-              | Translation_table.Garbage | Translation_table.Table_swapped _
-                -> ())
-          end
-        done;
-        if failed > 0 then note_recovery t pid ~vpn ());
-      if injected_swap then note_recovery t pid ~vpn ();
-      if injected_invalidate then note_recovery t pid ~vpn ();
-      if !fetched > 0 then observe t ~pid ~vpn ~count:!fetched Ev.Fetch;
-      (1, !fetched))
-
-let check_cached_page t san pid p vpn =
-  match Ni_cache.peek t.cache ~pid ~vpn with
-  | None -> ()
-  | Some frame ->
-    (match Translation_table.lookup p.table ~vpn with
-    | Translation_table.Frame f when f = frame -> ()
-    | Translation_table.Frame f ->
-      Sanitizer.recordf san ~code:"UV04"
-        "%a vpn=%#x: cached frame %d disagrees with translation-table \
-         frame %d"
-        Pid.pp pid vpn frame f
-    | Translation_table.Garbage ->
-      Sanitizer.recordf san ~code:"UV04"
-        "%a vpn=%#x: stale cache entry (frame %d) for an invalidated \
-         translation"
-        Pid.pp pid vpn frame
-    | Translation_table.Table_swapped _ -> ());
-    (match Host_memory.translate t.host pid ~vpn with
-    | Some f when f = frame ->
-      if Host_memory.pin_count t.host pid ~vpn = 0 then
-        Sanitizer.recordf san ~code:"UV05"
-          "%a vpn=%#x: cached translation for an unpinned page" Pid.pp pid
-          vpn
-    | Some f ->
-      Sanitizer.recordf san ~code:"UV04"
-        "%a vpn=%#x: cached frame %d disagrees with host frame %d" Pid.pp
-        pid vpn frame f
-    | None ->
-      Sanitizer.recordf san ~code:"UV04"
-        "%a vpn=%#x: cached translation for a non-resident page" Pid.pp pid
-        vpn)
-
-let run_invariants t =
-  match t.sanitizer with
-  | None -> ()
-  | Some san ->
-    let garbage = Host_memory.garbage_frame t.host in
-    Ni_cache.iter_valid t.cache (fun ~pid ~vpn ~frame ->
-        match Pid_table.find_opt t.procs pid with
-        | None ->
-          Sanitizer.recordf san ~code:"UV04"
-            "%a vpn=%#x: cache line (frame %d) for a departed process"
-            Pid.pp pid vpn frame
-        | Some p ->
-          if frame = garbage then
-            Sanitizer.recordf san ~code:"UV02"
-              "%a vpn=%#x: Shared UTLB-Cache holds the garbage frame"
-              Pid.pp pid vpn;
-          check_cached_page t san pid p vpn);
-    (* Every RestSeg slot must describe a pinned, resident page whose
-       host frame matches: RestSeg hits bypass table and cache, so a
-       stale slot would silently mistranslate. *)
-    Array.iteri
-      (fun i key ->
-        if key >= 0 then begin
-          let ipid = key lsr 20 and vpn = key land 0xFFFFF in
-          let pid = Pid.of_int ipid in
-          let frame = t.rest_frames.(i) in
-          match Host_memory.translate t.host pid ~vpn with
-          | Some f when f = frame ->
-            if Host_memory.pin_count t.host pid ~vpn = 0 then
-              Sanitizer.recordf san ~code:"UV05"
-                "%a vpn=%#x: RestSeg holds a translation for an unpinned \
-                 page"
-                Pid.pp pid vpn
-          | Some f ->
-            Sanitizer.recordf san ~code:"UV04"
-              "%a vpn=%#x: RestSeg frame %d disagrees with host frame %d"
-              Pid.pp pid vpn frame f
-          | None ->
-            Sanitizer.recordf san ~code:"UV04"
-              "%a vpn=%#x: RestSeg translation for a non-resident page"
-              Pid.pp pid vpn
-        end)
-      t.rest_keys;
-    Pid_table.iter
-      (fun pid p ->
-        let bits = Bitvec.population p.pinned in
-        let host_pinned = Host_memory.pinned_pages t.host pid in
-        if bits <> host_pinned then
-          Sanitizer.recordf san ~code:"UV08"
-            "%a: pin bit vector tracks %d pages but the host reports %d \
-             pinned"
-            Pid.pp pid bits host_pinned;
-        let recount = Host_memory.recount_pinned t.host pid in
-        if recount <> host_pinned then
-          Sanitizer.recordf san ~code:"UV08"
-            "%a: host pin counter says %d pinned pages but a table walk \
-             finds %d"
-            Pid.pp pid host_pinned recount)
-      t.procs;
-    List.iter
-      (fun msg ->
-        Sanitizer.recordf san ~code:"UV07" "miss classifier: %s" msg)
-      (Miss_classifier.self_check t.classifier)
-
-let no_san =
-  {
-    san_active = false;
-    san_fill = (fun _ _ _ _ -> ());
-    san_pages = (fun _ _ _ _ _ -> ());
-  }
-
-let compile_san = function
-  | None -> no_san
-  | Some san ->
-    {
-      san_active = true;
-      san_fill =
-        (fun t pid vpn frame ->
-          if frame = Host_memory.garbage_frame t.host then
-            Sanitizer.recordf san ~code:"UV02"
-              "%a vpn=%#x: NI fetched the garbage frame into the Shared \
-               UTLB-Cache"
-              Pid.pp pid vpn
-          else if Host_memory.pin_count t.host pid ~vpn = 0 then
-            Sanitizer.recordf san ~code:"UV03"
-              "%a vpn=%#x: NI fetched a translation to unpinned frame %d"
-              Pid.pp pid vpn frame);
-      san_pages =
-        (fun t pid p vpn npages ->
-          for q = vpn to vpn + npages - 1 do
-            check_cached_page t san pid p q
-          done);
-    }
-
-let create ?host ?sanitizer ?obs ?faults ?tenancy ~seed config =
-  if config.prefetch < 1 then
-    invalid_arg "Utopia_engine.create: prefetch must be >= 1";
-  if config.prepin < 1 then
-    invalid_arg "Utopia_engine.create: prepin must be >= 1";
-  if config.rest_ways < 0 then
-    invalid_arg "Utopia_engine.create: rest_ways must be >= 0";
-  if
-    config.rest_ways > 0
-    && (config.rest_sets <= 0
-       || config.rest_sets land (config.rest_sets - 1) <> 0)
-  then invalid_arg "Utopia_engine.create: rest_sets must be a power of two";
-  let host = match host with Some h -> h | None -> Host_memory.create () in
-  let cache = Ni_cache.create config.cache in
-  let tenancy = Option.value ~default:Arbiter.none tenancy in
-  Arbiter.bind tenancy ~sets:(Ni_cache.sets cache);
-  let rest_slots = max 1 (config.rest_sets * config.rest_ways) in
-  {
-    config;
-    host;
-    cache;
-    classifier = Miss_classifier.create ~capacity:config.cache.Ni_cache.entries;
-    rng = Rng.create ~seed;
-    procs = Pid_table.create 8;
-    sanitizer;
-    san = compile_san sanitizer;
-    probe = Probe.of_scope_opt obs;
-    faults;
-    tenancy;
-    ten_active = Arbiter.active tenancy;
-    rest_keys = Array.make rest_slots (-1);
-    rest_frames = Array.make rest_slots 0;
-    run_start = Array.make 8 0;
-    run_len = Array.make 8 0;
-    totals = Report.empty ~label:"utopia";
-    table_swap_interrupts = 0;
-    fault_interrupts = 0;
-  }
-
-let lookup t ~pid ~vpn ~npages =
-  if npages < 1 then invalid_arg "Utopia_engine.lookup: npages must be >= 1";
-  add_process t pid;
-  let p = proc t pid in
-  if t.ten_active then Arbiter.note_lookup t.tenancy ~pid:(Pid.to_int pid);
-  let check_miss = not (Bitvec.all_set p.pinned ~vpn ~count:npages) in
-  let pin_calls, pages_pinned, unpin_calls, pages_unpinned =
-    if not check_miss then (0, 0, 0, 0)
-    else begin
-      if t.probe.Probe.active then
-        observe t ~pid ~vpn
-          ~count:(Bitvec.clear_count p.pinned ~vpn ~count:npages)
-          Ev.Check_miss;
-      let start =
-        match Bitvec.first_clear p.pinned ~vpn ~count:npages with
-        | Some s -> s
-        | None -> assert false
-      in
-      let reach = max (vpn + npages) (start + t.config.prepin) in
-      let extra = reach - (vpn + npages) in
-      if extra > 0 then
-        observe t ~pid ~vpn:(vpn + npages) ~count:extra Ev.Pre_pin;
-      let nruns = ref 0 and incoming = ref 0 in
-      Bitvec.iter_clear_runs p.pinned ~vpn:start ~count:(reach - start)
-        (fun ~vpn:run_vpn ~count:run_len ->
-          let i = !nruns in
-          if i = Array.length t.run_start then begin
-            let grow a =
-              let b = Array.make (2 * Array.length a) 0 in
-              Array.blit a 0 b 0 (Array.length a);
-              b
-            in
-            t.run_start <- grow t.run_start;
-            t.run_len <- grow t.run_len
-          end;
-          t.run_start.(i) <- run_vpn;
-          t.run_len.(i) <- run_len;
-          nruns := i + 1;
-          incoming := !incoming + run_len);
-      let quota_unpinned, budget =
-        enforce_quota t pid p ~incoming:!incoming ~request_vpn:vpn
-          ~request_npages:npages
-      in
-      let unpinned =
-        quota_unpinned
-        + enforce_limit t pid p ~incoming:budget ~request_vpn:vpn
-            ~request_npages:npages
-      in
-      let calls, pinned = pin_runs t pid p !nruns ~budget in
-      Log.debug (fun m ->
-          m "%a check miss vpn=%#x+%d: pinned %d pages in %d ioctls" Pid.pp
-            pid vpn npages pinned calls);
-      (calls, pinned, unpinned, unpinned)
-    end
-  in
-  for q = vpn to vpn + npages - 1 do
-    Replacement.touch p.tracker q
-  done;
-  let ni_misses = ref 0 and entries = ref 0 in
-  for q = vpn to vpn + npages - 1 do
-    let m, f = ni_translate t pid p q in
-    ni_misses := !ni_misses + m;
-    entries := !entries + f
-  done;
-  t.san.san_pages t pid p vpn npages;
-  let outcome =
-    {
-      check_miss;
-      pages_pinned;
-      pin_calls;
-      pages_unpinned;
-      unpin_calls;
-      ni_accesses = npages;
-      ni_misses = !ni_misses;
-      entries_fetched = !entries;
-    }
-  in
-  let tot = t.totals in
-  t.totals <-
-    {
-      tot with
-      Report.lookups = tot.Report.lookups + 1;
-      check_misses = (tot.Report.check_misses + if check_miss then 1 else 0);
-      ni_miss_lookups =
-        (tot.Report.ni_miss_lookups + if !ni_misses > 0 then 1 else 0);
-      ni_page_accesses = tot.Report.ni_page_accesses + npages;
-      ni_page_misses = tot.Report.ni_page_misses + !ni_misses;
-      pin_calls = tot.Report.pin_calls + pin_calls;
-      pages_pinned = tot.Report.pages_pinned + pages_pinned;
-      unpin_calls = tot.Report.unpin_calls + unpin_calls;
-      pages_unpinned = tot.Report.pages_unpinned + pages_unpinned;
-      entries_fetched = tot.Report.entries_fetched + !entries;
-    };
-  t.probe.Probe.flush ();
-  outcome
-
-let is_pinned t ~pid ~vpn = Bitvec.test (proc t pid).pinned vpn
-
-let translate t ~pid ~vpn =
-  let p = proc t pid in
-  match Translation_table.lookup p.table ~vpn with
-  | Translation_table.Frame f -> Some f
-  | Translation_table.Garbage | Translation_table.Table_swapped _ -> None
-
-let rest_population t =
-  Array.fold_left (fun acc k -> if k >= 0 then acc + 1 else acc) 0 t.rest_keys
-
-let report t ~label =
-  {
-    t.totals with
-    Report.label;
-    interrupts = t.table_swap_interrupts + t.fault_interrupts;
-    compulsory = Miss_classifier.compulsory t.classifier;
-    capacity = Miss_classifier.capacity_misses t.classifier;
-    conflict = Miss_classifier.conflict t.classifier;
-    isolation = Arbiter.snapshot t.tenancy;
-  }
+include Hier_engine
 
 let mechanism = "utopia"
 
-let processes t =
-  Pid_table.fold (fun pid _ acc -> pid :: acc) t.procs []
-  |> List.sort Pid.compare
-
-let remove_and_report t ~label =
-  List.iter (fun pid -> ignore (remove_process t pid)) (processes t);
-  report t ~label
-
-let stepper (config : config) =
-  Stepper.Utopia
-    { prepin = config.prepin; limit_pages = config.memory_limit_pages }
-
-let cost_paths (config : config) ~npages =
+let default_config =
   {
-    Stepper.Cost.paths =
-      Stepper.Cost.utopia_paths ~prefetch:config.prefetch
-        ~prepin:config.prepin ~npages;
-    cache_entries = config.cache.Ni_cache.entries;
-    prefetch = max 1 config.prefetch;
+    Hier_engine.default_config with
+    backstop = Restseg { sets = 2048; ways = 4 };
   }

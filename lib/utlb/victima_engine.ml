@@ -1,723 +1,11 @@
-(* Victima-style engine: the hierarchical UTLB front end with an
-   L2-resident victim store behind the Shared UTLB-Cache. Capacity
-   evictions spill the displaced translation into the store instead of
-   dropping it; a later NI miss on the same page recalls the line with
-   one direct read instead of a DMA table walk. *)
+(* The victima mechanism: the hierarchical engine with a victim store
+   behind the Shared UTLB-Cache (see Hier_engine's backstops), after
+   "Victima: Drastically Increasing Address Translation Reach by
+   Leveraging Underutilized Cache Resources" (MICRO '23). *)
 
-module Pid = Utlb_mem.Pid
-module Host_memory = Utlb_mem.Host_memory
-module Rng = Utlb_sim.Rng
-module Sanitizer = Utlb_sim.Sanitizer
-module Probe = Utlb_obs.Probe
-module Ev = Utlb_obs.Event
-module Injector = Utlb_fault.Injector
-module Arbiter = Utlb_tenant.Arbiter
-
-let log_src = Logs.Src.create "utlb.victima" ~doc:"Victima engine"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
-type config = {
-  cache : Ni_cache.config;
-  prefetch : int;
-  prepin : int;
-  policy : Replacement.policy;
-  memory_limit_pages : int option;
-  victim_entries : int;
-}
-
-let default_config =
-  {
-    cache = { Ni_cache.entries = 8192; associativity = Ni_cache.Direct };
-    prefetch = 1;
-    prepin = 1;
-    policy = Replacement.Lru;
-    memory_limit_pages = None;
-    victim_entries = 2048;
-  }
-
-module Pid_table = Hashtbl.Make (struct
-  type t = Pid.t
-
-  let equal = Pid.equal
-
-  let hash = Pid.hash
-end)
-
-type process = {
-  pinned : Bitvec.t;
-  table : Translation_table.t;
-  tracker : Replacement.t;
-}
-
-type san = {
-  san_active : bool;
-  san_fill : t -> Pid.t -> int -> int -> unit;
-  san_pages : t -> Pid.t -> process -> int -> int -> unit;
-}
-
-and t = {
-  config : config;
-  host : Host_memory.t;
-  cache : Ni_cache.t;
-  classifier : Miss_classifier.t;
-  rng : Rng.t;
-  procs : process Pid_table.t;
-  sanitizer : Sanitizer.t option;
-  san : san;
-  probe : Probe.t;
-  faults : Injector.t option;
-  tenancy : Arbiter.t;
-  ten_active : bool;
-  (* The victim store: a flat (pid, vpn) -> frame map bounded by a FIFO
-     ring of the keys in insertion order. Ring slots may hold keys that
-     already left the map (recalled or unpinned); the map is the truth,
-     the ring only chooses who to overwrite when the store is full. *)
-  victims : Flat_map.t;
-  ring : int array;
-  mutable ring_cursor : int;
-  mutable run_start : int array;
-  mutable run_len : int array;
-  mutable totals : Report.t;
-  mutable table_swap_interrupts : int;
-  mutable fault_interrupts : int;
-}
-
-let observe t ~pid ~vpn ~count kind =
-  t.probe.Probe.emit kind ~pid:(Pid.to_int pid) ~vpn ~count
-
-let config t = t.config
-
-let host t = t.host
-
-let cache t = t.cache
-
-let classifier t = t.classifier
-
-(* Victim-store keys pack (pid, vpn); vpns fit Translation_table's 20
-   bits. *)
-let vkey pid vpn = (Pid.to_int pid lsl 20) lor vpn
-
-let spill t ~pid ~vpn ~frame =
-  if t.config.victim_entries > 0 then begin
-    let key = vkey pid vpn in
-    let slot = t.ring_cursor in
-    let old = t.ring.(slot) in
-    if old >= 0 && old <> key then Flat_map.remove t.victims old;
-    ignore (Flat_map.add t.victims key ~v0:frame ~v1:0);
-    t.ring.(slot) <- key;
-    t.ring_cursor <- (slot + 1) mod Array.length t.ring;
-    t.totals <- { t.totals with Report.spills = t.totals.Report.spills + 1 }
-  end
-
-let victim_drop t pid vpn =
-  if t.config.victim_entries > 0 then begin
-    let key = vkey pid vpn in
-    if Flat_map.mem t.victims key then Flat_map.remove t.victims key
-  end
-
-let victim_recall t pid vpn =
-  if t.config.victim_entries = 0 then None
-  else begin
-    let key = vkey pid vpn in
-    let slot = Flat_map.find t.victims key in
-    if slot < 0 then None
-    else begin
-      let frame = Flat_map.value0 t.victims slot in
-      Flat_map.remove t.victims key;
-      Some frame
-    end
-  end
-
-let add_process t pid =
-  if not (Pid_table.mem t.procs pid) then begin
-    Host_memory.add_process t.host pid;
-    let table =
-      Translation_table.create
-        ~garbage_frame:(Host_memory.garbage_frame t.host)
-        ~pid ()
-    in
-    Pid_table.replace t.procs pid
-      {
-        pinned = Bitvec.create ();
-        table;
-        tracker = Replacement.create t.config.policy ~rng:(Rng.split t.rng);
-      };
-    if t.ten_active then
-      match Arbiter.window t.tenancy ~pid:(Pid.to_int pid) with
-      | None -> ()
-      | Some (base, mask, offset) ->
-        Ni_cache.set_window t.cache ~pid ~base ~mask ~offset
-  end
-
-let proc t pid =
-  match Pid_table.find_opt t.procs pid with
-  | Some p -> p
-  | None -> invalid_arg "Victima_engine: unknown process"
-
-let remove_process t pid =
-  match Pid_table.find_opt t.procs pid with
-  | None -> 0
-  | Some p ->
-    let released = ref 0 in
-    Translation_table.iter_valid p.table (fun vpn _frame ->
-        Host_memory.unpin t.host pid ~vpn ~count:1;
-        incr released);
-    (match t.sanitizer with
-    | None -> ()
-    | Some san ->
-      let bits = Bitvec.population p.pinned in
-      if bits <> !released then
-        Sanitizer.recordf san ~code:"UV01"
-          "%a exit: pin bit vector tracks %d pages but the translation \
-           table released %d"
-          Pid.pp pid bits !released;
-      let leaked = Host_memory.pinned_pages t.host pid in
-      if leaked <> 0 then
-        Sanitizer.recordf san ~code:"UV01"
-          "%a exit: %d pages still pinned after releasing the \
-           translation table (pin leak)"
-          Pid.pp pid leaked;
-      let recount = Host_memory.recount_pinned t.host pid in
-      if recount <> leaked then
-        Sanitizer.recordf san ~code:"UV08"
-          "%a exit: host pin counter says %d pinned pages but a table \
-           walk finds %d"
-          Pid.pp pid leaked recount);
-    ignore (Ni_cache.invalidate_process t.cache ~pid);
-    (* Purge the departing process's spilled lines: the exit path must
-       leave nothing recallable. *)
-    if t.config.victim_entries > 0 then begin
-      let ipid = Pid.to_int pid in
-      let stale = ref [] in
-      Flat_map.iter t.victims (fun key ~v0:_ ~v1:_ ->
-          if key lsr 20 = ipid then stale := key :: !stale);
-      List.iter (Flat_map.remove t.victims) !stale
-    end;
-    if t.ten_active then
-      Arbiter.note_unpin t.tenancy ~pid:(Pid.to_int pid) ~pages:!released;
-    Pid_table.remove t.procs pid;
-    Log.debug (fun m ->
-        m "%a exit: released %d pinned pages" Pid.pp pid !released);
-    !released
-
-let table t pid = (proc t pid).table
-
-let pinned_pages t pid = Bitvec.population (proc t pid).pinned
-
-type outcome = {
-  check_miss : bool;
-  pages_pinned : int;
-  pin_calls : int;
-  pages_unpinned : int;
-  unpin_calls : int;
-  ni_accesses : int;
-  ni_misses : int;
-  entries_fetched : int;
-}
-
-let unpin_one t pid p victim =
-  Log.debug (fun m -> m "%a evict+unpin vpn=%#x" Pid.pp pid victim);
-  observe t ~pid ~vpn:victim ~count:1 Ev.Unpin;
-  Host_memory.unpin t.host pid ~vpn:victim ~count:1;
-  if t.ten_active then
-    Arbiter.note_unpin t.tenancy ~pid:(Pid.to_int pid) ~pages:1;
-  Bitvec.clear p.pinned victim;
-  Translation_table.invalidate p.table ~vpn:victim;
-  victim_drop t pid victim;
-  if Ni_cache.invalidate t.cache ~pid ~vpn:victim then
-    Miss_classifier.note_invalidate t.classifier ~pid ~vpn:victim
-
-let enforce_limit t pid p ~incoming ~request_vpn ~request_npages =
-  match t.config.memory_limit_pages with
-  | None -> 0
-  | Some limit ->
-    let protect page =
-      page >= request_vpn && page < request_vpn + request_npages
-    in
-    let unpinned = ref 0 in
-    let continue = ref true in
-    while !continue && Bitvec.population p.pinned + incoming > limit do
-      match Replacement.select_victim p.tracker ~protect () with
-      | None -> continue := false
-      | Some victim ->
-        unpin_one t pid p victim;
-        incr unpinned
-    done;
-    !unpinned
-
-let pin_runs t pid p nruns ~budget =
-  let calls = ref 0 and total = ref 0 in
-  for i = 0 to nruns - 1 do
-    let start = t.run_start.(i) in
-    let count = min t.run_len.(i) (budget - !total) in
-    if count > 0 then begin
-      match Host_memory.pin t.host pid ~vpn:start ~count with
-      | Error `Out_of_memory -> ()
-      | Ok frames ->
-        observe t ~pid ~vpn:start ~count Ev.Pin;
-        for j = 0 to count - 1 do
-          let page = start + j in
-          Bitvec.set p.pinned page;
-          Translation_table.install p.table ~vpn:page ~frame:frames.(j);
-          Replacement.insert p.tracker page
-        done;
-        if t.ten_active then
-          Arbiter.note_pin t.tenancy ~pid:(Pid.to_int pid) ~pages:count;
-        incr calls;
-        total := !total + count
-    end
-  done;
-  (!calls, !total)
-
-let enforce_quota t pid p ~incoming ~request_vpn ~request_npages =
-  if not t.ten_active then (0, incoming)
-  else begin
-    let ipid = Pid.to_int pid in
-    let protect page =
-      page >= request_vpn && page < request_vpn + request_npages
-    in
-    let unpinned = ref 0 in
-    let continue = ref true in
-    while !continue && incoming > Arbiter.quota_remaining t.tenancy ~pid:ipid
-    do
-      match Replacement.select_victim p.tracker ~protect () with
-      | None -> continue := false
-      | Some victim ->
-        unpin_one t pid p victim;
-        incr unpinned
-    done;
-    let budget = min incoming (Arbiter.quota_remaining t.tenancy ~pid:ipid) in
-    if budget < incoming then
-      Arbiter.note_denied t.tenancy ~pid:ipid ~pages:(incoming - budget);
-    (!unpinned, budget)
-  end
-
-(* Cache fill, with the one Victima twist: a displaced valid line is
-   spilled into the victim store instead of vanishing. *)
-let fill_cache t pid vpn frame =
-  t.san.san_fill t pid vpn frame;
-  match Ni_cache.insert t.cache ~pid ~vpn ~frame with
-  | None -> ()
-  | Some (evicted_pid, evicted_vpn, evicted_frame) ->
-    if t.ten_active then
-      Arbiter.note_eviction t.tenancy
-        ~victim_pid:(Pid.to_int evicted_pid)
-        ~by_pid:(Pid.to_int pid);
-    observe t ~pid:evicted_pid ~vpn:evicted_vpn ~count:Probe.no_count
-      Ev.Ni_evict;
-    spill t ~pid:evicted_pid ~vpn:evicted_vpn ~frame:evicted_frame
-
-let note_recovery t pid ~vpn () =
-  Option.iter Injector.note_recovery t.faults;
-  observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_recover;
-  t.totals <-
-    { t.totals with Report.fault_recoveries = t.totals.Report.fault_recoveries + 1 }
-
-let serve_entry_via_interrupt t pid p vpn =
-  t.fault_interrupts <- t.fault_interrupts + 1;
-  observe t ~pid ~vpn ~count:Probe.no_count Ev.Interrupt;
-  match Translation_table.lookup p.table ~vpn with
-  | Translation_table.Frame frame -> fill_cache t pid vpn frame
-  | Translation_table.Garbage -> ()
-  | Translation_table.Table_swapped _ ->
-    ignore (Translation_table.swap_in p.table ~dir_index:(vpn lsr 10));
-    (match Translation_table.lookup p.table ~vpn with
-    | Translation_table.Frame frame -> fill_cache t pid vpn frame
-    | Translation_table.Garbage | Translation_table.Table_swapped _ -> ())
-
-(* NI-side translation of one page. Identical to the hierarchical
-   engine except that a miss first probes the victim store: a recall
-   refills the cache with one direct read and no DMA table walk (the
-   miss is still counted and classified — it is the walk that is
-   saved, not the miss). *)
-let ni_translate t pid p vpn =
-  let injected_invalidate =
-    match t.faults with
-    | None -> false
-    | Some inj ->
-      Injector.cache_invalidate inj
-      && Ni_cache.invalidate t.cache ~pid ~vpn
-      &&
-      (Miss_classifier.note_invalidate t.classifier ~pid ~vpn;
-       observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
-       true)
-  in
-  match Ni_cache.lookup t.cache ~pid ~vpn with
-  | Some _ ->
-    if t.ten_active then
-      Arbiter.note_ni_access t.tenancy ~pid:(Pid.to_int pid) ~hit:true;
-    Miss_classifier.note_hit t.classifier ~pid ~vpn;
-    observe t ~pid ~vpn ~count:Probe.no_count Ev.Ni_hit;
-    (0, 0)
-  | None -> (
-    if t.ten_active then
-      Arbiter.note_ni_access t.tenancy ~pid:(Pid.to_int pid) ~hit:false;
-    ignore (Miss_classifier.classify t.classifier ~pid ~vpn);
-    observe t ~pid ~vpn ~count:Probe.no_count Ev.Ni_miss;
-    match victim_recall t pid vpn with
-    | Some frame ->
-      (* Recall: one direct read from the on-host victim store; no
-         fetch, no fault plane (the DMA walk it would shield is
-         skipped entirely). *)
-      fill_cache t pid vpn frame;
-      t.totals <-
-        { t.totals with Report.recalls = t.totals.Report.recalls + 1 };
-      if injected_invalidate then note_recovery t pid ~vpn ();
-      (1, 0)
-    | None ->
-      let injected_swap =
-        match t.faults with
-        | None -> false
-        | Some inj ->
-          Injector.table_swap inj
-          && Translation_table.swap_out p.table ~dir_index:(vpn lsr 10)
-               ~disk_block:1
-          &&
-          (observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
-           true)
-      in
-      let dma =
-        match t.faults with
-        | None -> Some 0
-        | Some inj -> Injector.dma_attempts inj
-      in
-      let fetched = ref 0 in
-      (match dma with
-      | None ->
-        let retries =
-          match t.faults with
-          | Some inj -> max 0 (Injector.plan inj).Utlb_fault.Plan.dma_retries
-          | None -> 0
-        in
-        observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
-        observe t ~pid ~vpn ~count:(1 + retries) Ev.Fault_retry;
-        serve_entry_via_interrupt t pid p vpn;
-        note_recovery t pid ~vpn ()
-      | Some failed ->
-        if failed > 0 then begin
-          observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
-          observe t ~pid ~vpn ~count:failed Ev.Fault_retry
-        end;
-        for q = vpn to vpn + t.config.prefetch - 1 do
-          if q <= Translation_table.max_vpn then begin
-            match Translation_table.lookup p.table ~vpn:q with
-            | Translation_table.Frame frame ->
-              incr fetched;
-              fill_cache t pid q frame
-            | Translation_table.Garbage -> ()
-            | Translation_table.Table_swapped _ ->
-              t.table_swap_interrupts <- t.table_swap_interrupts + 1;
-              observe t ~pid ~vpn:q ~count:Probe.no_count Ev.Interrupt;
-              ignore
-                (Translation_table.swap_in p.table ~dir_index:(q lsr 10));
-              (match Translation_table.lookup p.table ~vpn:q with
-              | Translation_table.Frame frame ->
-                incr fetched;
-                fill_cache t pid q frame
-              | Translation_table.Garbage | Translation_table.Table_swapped _
-                -> ())
-          end
-        done;
-        if failed > 0 then note_recovery t pid ~vpn ());
-      if injected_swap then note_recovery t pid ~vpn ();
-      if injected_invalidate then note_recovery t pid ~vpn ();
-      if !fetched > 0 then observe t ~pid ~vpn ~count:!fetched Ev.Fetch;
-      (1, !fetched))
-
-let check_cached_page t san pid p vpn =
-  match Ni_cache.peek t.cache ~pid ~vpn with
-  | None -> ()
-  | Some frame ->
-    (match Translation_table.lookup p.table ~vpn with
-    | Translation_table.Frame f when f = frame -> ()
-    | Translation_table.Frame f ->
-      Sanitizer.recordf san ~code:"UV04"
-        "%a vpn=%#x: cached frame %d disagrees with translation-table \
-         frame %d"
-        Pid.pp pid vpn frame f
-    | Translation_table.Garbage ->
-      Sanitizer.recordf san ~code:"UV04"
-        "%a vpn=%#x: stale cache entry (frame %d) for an invalidated \
-         translation"
-        Pid.pp pid vpn frame
-    | Translation_table.Table_swapped _ -> ());
-    (match Host_memory.translate t.host pid ~vpn with
-    | Some f when f = frame ->
-      if Host_memory.pin_count t.host pid ~vpn = 0 then
-        Sanitizer.recordf san ~code:"UV05"
-          "%a vpn=%#x: cached translation for an unpinned page" Pid.pp pid
-          vpn
-    | Some f ->
-      Sanitizer.recordf san ~code:"UV04"
-        "%a vpn=%#x: cached frame %d disagrees with host frame %d" Pid.pp
-        pid vpn frame f
-    | None ->
-      Sanitizer.recordf san ~code:"UV04"
-        "%a vpn=%#x: cached translation for a non-resident page" Pid.pp pid
-        vpn)
-
-let run_invariants t =
-  match t.sanitizer with
-  | None -> ()
-  | Some san ->
-    let garbage = Host_memory.garbage_frame t.host in
-    Ni_cache.iter_valid t.cache (fun ~pid ~vpn ~frame ->
-        match Pid_table.find_opt t.procs pid with
-        | None ->
-          Sanitizer.recordf san ~code:"UV04"
-            "%a vpn=%#x: cache line (frame %d) for a departed process"
-            Pid.pp pid vpn frame
-        | Some p ->
-          if frame = garbage then
-            Sanitizer.recordf san ~code:"UV02"
-              "%a vpn=%#x: Shared UTLB-Cache holds the garbage frame"
-              Pid.pp pid vpn;
-          check_cached_page t san pid p vpn);
-    (* Every recallable victim-store line must still describe a pinned,
-       resident page: recalls bypass the table walk, so staleness here
-       would resurface an invalidated translation. *)
-    Flat_map.iter t.victims (fun key ~v0:frame ~v1:_ ->
-        let ipid = key lsr 20 and vpn = key land 0xFFFFF in
-        let pid = Pid.of_int ipid in
-        match Host_memory.translate t.host pid ~vpn with
-        | Some f when f = frame ->
-          if Host_memory.pin_count t.host pid ~vpn = 0 then
-            Sanitizer.recordf san ~code:"UV05"
-              "%a vpn=%#x: victim store holds a translation for an \
-               unpinned page"
-              Pid.pp pid vpn
-        | Some f ->
-          Sanitizer.recordf san ~code:"UV04"
-            "%a vpn=%#x: victim-store frame %d disagrees with host frame \
-             %d"
-            Pid.pp pid vpn frame f
-        | None ->
-          Sanitizer.recordf san ~code:"UV04"
-            "%a vpn=%#x: victim-store translation for a non-resident page"
-            Pid.pp pid vpn);
-    Pid_table.iter
-      (fun pid p ->
-        let bits = Bitvec.population p.pinned in
-        let host_pinned = Host_memory.pinned_pages t.host pid in
-        if bits <> host_pinned then
-          Sanitizer.recordf san ~code:"UV08"
-            "%a: pin bit vector tracks %d pages but the host reports %d \
-             pinned"
-            Pid.pp pid bits host_pinned;
-        let recount = Host_memory.recount_pinned t.host pid in
-        if recount <> host_pinned then
-          Sanitizer.recordf san ~code:"UV08"
-            "%a: host pin counter says %d pinned pages but a table walk \
-             finds %d"
-            Pid.pp pid host_pinned recount)
-      t.procs;
-    List.iter
-      (fun msg ->
-        Sanitizer.recordf san ~code:"UV07" "miss classifier: %s" msg)
-      (Miss_classifier.self_check t.classifier)
-
-let no_san =
-  {
-    san_active = false;
-    san_fill = (fun _ _ _ _ -> ());
-    san_pages = (fun _ _ _ _ _ -> ());
-  }
-
-let compile_san = function
-  | None -> no_san
-  | Some san ->
-    {
-      san_active = true;
-      san_fill =
-        (fun t pid vpn frame ->
-          if frame = Host_memory.garbage_frame t.host then
-            Sanitizer.recordf san ~code:"UV02"
-              "%a vpn=%#x: NI fetched the garbage frame into the Shared \
-               UTLB-Cache"
-              Pid.pp pid vpn
-          else if Host_memory.pin_count t.host pid ~vpn = 0 then
-            Sanitizer.recordf san ~code:"UV03"
-              "%a vpn=%#x: NI fetched a translation to unpinned frame %d"
-              Pid.pp pid vpn frame);
-      san_pages =
-        (fun t pid p vpn npages ->
-          for q = vpn to vpn + npages - 1 do
-            check_cached_page t san pid p q
-          done);
-    }
-
-let create ?host ?sanitizer ?obs ?faults ?tenancy ~seed config =
-  if config.prefetch < 1 then
-    invalid_arg "Victima_engine.create: prefetch must be >= 1";
-  if config.prepin < 1 then
-    invalid_arg "Victima_engine.create: prepin must be >= 1";
-  if config.victim_entries < 0 then
-    invalid_arg "Victima_engine.create: victim_entries must be >= 0";
-  let host = match host with Some h -> h | None -> Host_memory.create () in
-  let cache = Ni_cache.create config.cache in
-  let tenancy = Option.value ~default:Arbiter.none tenancy in
-  Arbiter.bind tenancy ~sets:(Ni_cache.sets cache);
-  {
-    config;
-    host;
-    cache;
-    classifier = Miss_classifier.create ~capacity:config.cache.Ni_cache.entries;
-    rng = Rng.create ~seed;
-    procs = Pid_table.create 8;
-    sanitizer;
-    san = compile_san sanitizer;
-    probe = Probe.of_scope_opt obs;
-    faults;
-    tenancy;
-    ten_active = Arbiter.active tenancy;
-    victims = Flat_map.create ();
-    ring = Array.make (max 1 config.victim_entries) (-1);
-    ring_cursor = 0;
-    run_start = Array.make 8 0;
-    run_len = Array.make 8 0;
-    totals = Report.empty ~label:"victima";
-    table_swap_interrupts = 0;
-    fault_interrupts = 0;
-  }
-
-let lookup t ~pid ~vpn ~npages =
-  if npages < 1 then
-    invalid_arg "Victima_engine.lookup: npages must be >= 1";
-  add_process t pid;
-  let p = proc t pid in
-  if t.ten_active then Arbiter.note_lookup t.tenancy ~pid:(Pid.to_int pid);
-  let check_miss = not (Bitvec.all_set p.pinned ~vpn ~count:npages) in
-  let pin_calls, pages_pinned, unpin_calls, pages_unpinned =
-    if not check_miss then (0, 0, 0, 0)
-    else begin
-      if t.probe.Probe.active then
-        observe t ~pid ~vpn
-          ~count:(Bitvec.clear_count p.pinned ~vpn ~count:npages)
-          Ev.Check_miss;
-      let start =
-        match Bitvec.first_clear p.pinned ~vpn ~count:npages with
-        | Some s -> s
-        | None -> assert false
-      in
-      let reach = max (vpn + npages) (start + t.config.prepin) in
-      let extra = reach - (vpn + npages) in
-      if extra > 0 then
-        observe t ~pid ~vpn:(vpn + npages) ~count:extra Ev.Pre_pin;
-      let nruns = ref 0 and incoming = ref 0 in
-      Bitvec.iter_clear_runs p.pinned ~vpn:start ~count:(reach - start)
-        (fun ~vpn:run_vpn ~count:run_len ->
-          let i = !nruns in
-          if i = Array.length t.run_start then begin
-            let grow a =
-              let b = Array.make (2 * Array.length a) 0 in
-              Array.blit a 0 b 0 (Array.length a);
-              b
-            in
-            t.run_start <- grow t.run_start;
-            t.run_len <- grow t.run_len
-          end;
-          t.run_start.(i) <- run_vpn;
-          t.run_len.(i) <- run_len;
-          nruns := i + 1;
-          incoming := !incoming + run_len);
-      let quota_unpinned, budget =
-        enforce_quota t pid p ~incoming:!incoming ~request_vpn:vpn
-          ~request_npages:npages
-      in
-      let unpinned =
-        quota_unpinned
-        + enforce_limit t pid p ~incoming:budget ~request_vpn:vpn
-            ~request_npages:npages
-      in
-      let calls, pinned = pin_runs t pid p !nruns ~budget in
-      Log.debug (fun m ->
-          m "%a check miss vpn=%#x+%d: pinned %d pages in %d ioctls" Pid.pp
-            pid vpn npages pinned calls);
-      (calls, pinned, unpinned, unpinned)
-    end
-  in
-  for q = vpn to vpn + npages - 1 do
-    Replacement.touch p.tracker q
-  done;
-  let ni_misses = ref 0 and entries = ref 0 in
-  for q = vpn to vpn + npages - 1 do
-    let m, f = ni_translate t pid p q in
-    ni_misses := !ni_misses + m;
-    entries := !entries + f
-  done;
-  t.san.san_pages t pid p vpn npages;
-  let outcome =
-    {
-      check_miss;
-      pages_pinned;
-      pin_calls;
-      pages_unpinned;
-      unpin_calls;
-      ni_accesses = npages;
-      ni_misses = !ni_misses;
-      entries_fetched = !entries;
-    }
-  in
-  let tot = t.totals in
-  t.totals <-
-    {
-      tot with
-      Report.lookups = tot.Report.lookups + 1;
-      check_misses = (tot.Report.check_misses + if check_miss then 1 else 0);
-      ni_miss_lookups =
-        (tot.Report.ni_miss_lookups + if !ni_misses > 0 then 1 else 0);
-      ni_page_accesses = tot.Report.ni_page_accesses + npages;
-      ni_page_misses = tot.Report.ni_page_misses + !ni_misses;
-      pin_calls = tot.Report.pin_calls + pin_calls;
-      pages_pinned = tot.Report.pages_pinned + pages_pinned;
-      unpin_calls = tot.Report.unpin_calls + unpin_calls;
-      pages_unpinned = tot.Report.pages_unpinned + pages_unpinned;
-      entries_fetched = tot.Report.entries_fetched + !entries;
-    };
-  t.probe.Probe.flush ();
-  outcome
-
-let is_pinned t ~pid ~vpn = Bitvec.test (proc t pid).pinned vpn
-
-let translate t ~pid ~vpn =
-  let p = proc t pid in
-  match Translation_table.lookup p.table ~vpn with
-  | Translation_table.Frame f -> Some f
-  | Translation_table.Garbage | Translation_table.Table_swapped _ -> None
-
-let victim_population t = Flat_map.length t.victims
-
-let report t ~label =
-  {
-    t.totals with
-    Report.label;
-    interrupts = t.table_swap_interrupts + t.fault_interrupts;
-    compulsory = Miss_classifier.compulsory t.classifier;
-    capacity = Miss_classifier.capacity_misses t.classifier;
-    conflict = Miss_classifier.conflict t.classifier;
-    isolation = Arbiter.snapshot t.tenancy;
-  }
+include Hier_engine
 
 let mechanism = "victima"
 
-let processes t =
-  Pid_table.fold (fun pid _ acc -> pid :: acc) t.procs []
-  |> List.sort Pid.compare
-
-let remove_and_report t ~label =
-  List.iter (fun pid -> ignore (remove_process t pid)) (processes t);
-  report t ~label
-
-let stepper (config : config) =
-  Stepper.Victima
-    { prepin = config.prepin; limit_pages = config.memory_limit_pages }
-
-let cost_paths (config : config) ~npages =
-  {
-    Stepper.Cost.paths =
-      Stepper.Cost.victima_paths ~prefetch:config.prefetch
-        ~prepin:config.prepin ~npages;
-    cache_entries = config.cache.Ni_cache.entries;
-    prefetch = max 1 config.prefetch;
-  }
+let default_config =
+  { Hier_engine.default_config with backstop = Victim_store 2048 }

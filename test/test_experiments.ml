@@ -30,6 +30,7 @@ let utlb_run ?(prefetch = 1) ?(prepin = 1) ?memory_limit ?(entries = 4096)
         prepin;
         policy = Replacement.Lru;
         memory_limit_pages = memory_limit;
+        backstop = Hier_engine.No_backstop;
       }
     in
     let r = Sim_driver.run_workload ~seed (Sim_driver.Utlb config) spec in

@@ -18,11 +18,11 @@ let codes fs =
 
 let engines =
   [
-    ("utlb", Stepper.Hier { prepin = 1; limit_pages = None });
+    ("utlb", Stepper.Hier { prepin = 1; limit_pages = None; backstop = Stepper.No_backstop });
     ("intr", Stepper.Intr { entries = 8192; limit_pages = None });
     ("per-process", Stepper.Static { processes = 5; share = 1638 });
-    ("victima", Stepper.Victima { prepin = 1; limit_pages = None });
-    ("utopia", Stepper.Utopia { prepin = 1; limit_pages = None });
+    ("victima", Stepper.Hier { prepin = 1; limit_pages = None; backstop = Stepper.Victim_store });
+    ("utopia", Stepper.Hier { prepin = 1; limit_pages = None; backstop = Stepper.Restseg });
   ]
 
 (* {2 Clean engines at the default scope} *)
@@ -103,7 +103,7 @@ let test_determinism () =
     Explore.explore
       ~config:{ Explore.default_config with Explore.scope }
       ~label:"det"
-      (Stepper.Hier { prepin = 1; limit_pages = None })
+      (Stepper.Hier { prepin = 1; limit_pages = None; backstop = Stepper.No_backstop })
   in
   let a = run () and b = run () in
   Alcotest.(check (list string)) "same findings" (codes a.Explore.findings)
@@ -153,7 +153,7 @@ let corpus_semantics conf =
           (Explore.semantics_of_config cfg, Protocol.of_config cfg)
       | Error e -> failwith e)
   | None ->
-      (Stepper.Hier { prepin = 1; limit_pages = None }, List.hd Protocol.defaults)
+      (Stepper.Hier { prepin = 1; limit_pages = None; backstop = Stepper.No_backstop }, List.hd Protocol.defaults)
 
 let test_corpus_rediscovery () =
   List.iter
@@ -229,17 +229,20 @@ let test_fuzz_differential () =
     in
     let pairs =
       [
-        ( Stepper.Hier { prepin = 4; limit_pages = Some 16 },
+        ( Stepper.Hier
+            { prepin = 4; limit_pages = Some 16; backstop = Stepper.No_backstop },
           Protocol.Hier
             { entries = 8192; prefetch = 1; prepin = 4; limit_pages = Some 16 } );
         ( Stepper.Intr { entries = 8; limit_pages = Some 16 },
           Protocol.Intr { entries = 8; limit_pages = Some 16 } );
         ( Stepper.Static { processes = 2; share = 8 },
           Protocol.Per_process { processes = 2; entries_per_process = 8 } );
-        ( Stepper.Victima { prepin = 4; limit_pages = Some 16 },
+        ( Stepper.Hier
+            { prepin = 4; limit_pages = Some 16; backstop = Stepper.Victim_store },
           Protocol.Hier
             { entries = 8192; prefetch = 1; prepin = 4; limit_pages = Some 16 } );
-        ( Stepper.Utopia { prepin = 4; limit_pages = Some 16 },
+        ( Stepper.Hier
+            { prepin = 4; limit_pages = Some 16; backstop = Stepper.Restseg },
           Protocol.Hier
             { entries = 8192; prefetch = 1; prepin = 4; limit_pages = Some 16 } );
       ]
@@ -305,7 +308,7 @@ let test_counterexample_lines () =
     Explore.explore
       ~config:{ Explore.default_config with Explore.scope }
       ~label:"ce"
-      (Stepper.Hier { prepin = 1; limit_pages = None })
+      (Stepper.Hier { prepin = 1; limit_pages = None; backstop = Stepper.No_backstop })
   in
   Alcotest.(check bool) "found UP23" true
     (List.mem "UP23" (codes r.Explore.findings));

@@ -48,27 +48,56 @@ let victima_small = ("victim-entries", "4096") :: small
 
 let utopia_small = ("rest-sets", "4096") :: ("rest-ways", "4") :: small
 
+let fault_plan =
+  match
+    Plan.of_string
+      "dma-fail=0.5,dma-retries=2,cache-invalidate=0.2,table-swap=0.1,\
+       irq-timeout=0.5,irq-retries=2"
+  with
+  | Ok p -> p
+  | Error e -> failwith e
+
+(* The quota must be smaller than a single multi-page request:
+   admission first makes room by unpinning the tenant's own LRU pages,
+   so denials only happen when one request overflows the whole
+   quota. *)
+let quota_arbiter () =
+  match Tenant.of_string "shared/all=0-4:quota=8" with
+  | Ok (Some c) -> Arbiter.create c
+  | Ok None | Error _ -> Alcotest.fail "tenant spec"
+
 (* --- Degeneracy ---------------------------------------------------- *)
 
 let pressure = [ ("entries", "1024"); ("prefetch", "4") ]
 
-let test_victima_degenerates () =
+(* Each workload runs bare, under the fault plan and under a quota
+   arbiter. Injectors and arbiters are stateful, so every run gets its
+   own. *)
+let degenerates name zero =
   List.iter
     (fun (spec : Workloads.spec) ->
-      Alcotest.check report_t
-        (spec.Workloads.name ^ ": victim-entries=0 = utlb")
-        (run "utlb" pressure spec)
-        (run "victima" (("victim-entries", "0") :: pressure) spec))
+      List.iter
+        (fun (plane, go) ->
+          Alcotest.check report_t
+            (Printf.sprintf "%s%s: %s = utlb" spec.Workloads.name plane
+               (String.concat "=" [ fst zero; snd zero ]))
+            (go "utlb" pressure spec)
+            (go name (zero :: pressure) spec))
+        [
+          ("", fun name params spec -> run name params spec);
+          ( " under faults",
+            fun name params spec ->
+              run ~faults:(Injector.create ~seed:7L fault_plan) name params spec
+          );
+          ( " under a quota",
+            fun name params spec ->
+              run ~tenancy:(quota_arbiter ()) name params spec );
+        ])
     [ Workloads.water; Workloads.radix ]
 
-let test_utopia_degenerates () =
-  List.iter
-    (fun (spec : Workloads.spec) ->
-      Alcotest.check report_t
-        (spec.Workloads.name ^ ": rest-ways=0 = utlb")
-        (run "utlb" pressure spec)
-        (run "utopia" (("rest-ways", "0") :: pressure) spec))
-    [ Workloads.water; Workloads.radix ]
+let test_victima_degenerates () = degenerates "victima" ("victim-entries", "0")
+
+let test_utopia_degenerates () = degenerates "utopia" ("rest-ways", "0")
 
 (* --- The planes fire under pressure -------------------------------- *)
 
@@ -137,20 +166,11 @@ let test_sanitizers_clean () =
     both
 
 let test_fault_recoveries () =
-  let plan =
-    match
-      Plan.of_string
-        "dma-fail=0.5,dma-retries=2,cache-invalidate=0.2,table-swap=0.1,\
-         irq-timeout=0.5,irq-retries=2"
-    with
-    | Ok p -> p
-    | Error e -> Alcotest.fail e
-  in
   List.iter
     (fun (name, params) ->
       let go () =
         run
-          ~faults:(Injector.create ~seed:7L plan)
+          ~faults:(Injector.create ~seed:7L fault_plan)
           name params Workloads.water
       in
       let a = go () in
@@ -162,17 +182,7 @@ let test_fault_recoveries () =
 let test_tenancy_quota_denials () =
   List.iter
     (fun (name, params) ->
-      let cfg =
-        (* The quota must be smaller than a single multi-page request:
-           admission first makes room by unpinning the tenant's own LRU
-           pages, so denials only happen when one request overflows the
-           whole quota. *)
-        match Tenant.of_string "shared/all=0-4:quota=8" with
-        | Ok (Some c) -> c
-        | Ok None | Error _ -> Alcotest.fail "tenant spec"
-      in
-      let arb = Arbiter.create cfg in
-      let r = run ~tenancy:arb name params Workloads.radix in
+      let r = run ~tenancy:(quota_arbiter ()) name params Workloads.radix in
       match r.Report.isolation with
       | None -> Alcotest.failf "%s: no isolation breakdown" name
       | Some iso ->
@@ -192,6 +202,34 @@ let test_stepper_semantics () =
     Victima_engine.mechanism;
   Alcotest.(check string) "utopia mechanism" "utopia" Utopia_engine.mechanism
 
+(* --- Validation ---------------------------------------------------- *)
+
+(* The registry refuses exactly what [create] refuses, so the checkers
+   (which only build configs) cannot certify an engine that would never
+   start. *)
+let test_invalid_configs () =
+  List.iter
+    (fun (name, params, msg) ->
+      Alcotest.check_raises
+        (name ^ " registry rejects")
+        (Invalid_argument msg)
+        (fun () -> ignore (packed name params)))
+    [
+      ( "victima",
+        [ ("victim-entries", "-1") ],
+        "Hier_engine: victim-store entries must be >= 0" );
+      ( "utopia",
+        [ ("rest-sets", "3") ],
+        "Hier_engine: RestSeg sets must be a power of two" );
+      ("utlb", [ ("prefetch", "0") ], "Hier_engine: prefetch must be >= 1");
+      ("utlb", [ ("prepin", "0") ], "Hier_engine: prepin must be >= 1");
+    ];
+  Alcotest.check_raises "create rejects too"
+    (Invalid_argument "Hier_engine: prepin must be >= 1") (fun () ->
+      ignore
+        (Victima_engine.create ~seed
+           { Victima_engine.default_config with prepin = 0 }))
+
 let suite =
   [
     Alcotest.test_case "victima degenerates to utlb" `Quick
@@ -209,4 +247,5 @@ let suite =
     Alcotest.test_case "tenancy quota denials" `Quick
       test_tenancy_quota_denials;
     Alcotest.test_case "stepper semantics" `Quick test_stepper_semantics;
+    Alcotest.test_case "invalid configs rejected" `Quick test_invalid_configs;
   ]
