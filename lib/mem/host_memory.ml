@@ -10,10 +10,20 @@ type pin_error = [ `Out_of_memory ]
 
 type process = { table : Page_table.t; mutable pinned : int }
 
+(* Owners are packed as [(pid lsl vpn_bits) lor vpn]: vpns fit in the
+   page table's 20 bits. *)
+let vpn_bits = Page_table.directory_bits + Page_table.table_bits
+
+let no_owner = -1
+
 type t = {
   frames : Frame_allocator.t;
   procs : process Pid_table.t;
-  owner : (int, Pid.t * int) Hashtbl.t; (* frame -> (pid, vpn) *)
+  (* frame -> packed (pid, vpn) or [no_owner]; grown to the highest
+     frame handed out. *)
+  mutable owner : int array;
+  (* Distinct pinned pages over all processes. *)
+  mutable pinned : int;
   mutable clock_hand : int;
   mutable faults : int;
   mutable evictions : int;
@@ -24,10 +34,13 @@ type t = {
 }
 
 let create ?(frames = 65536) () =
+  (* First, so that a bad [frames] fails with the allocator's message. *)
+  let allocator = Frame_allocator.create ~frames in
   {
-    frames = Frame_allocator.create ~frames;
+    frames = allocator;
     procs = Pid_table.create 8;
-    owner = Hashtbl.create 1024;
+    owner = Array.make (min frames 1024) no_owner;
+    pinned = 0;
     clock_hand = 1;
     faults = 0;
     evictions = 0;
@@ -55,9 +68,25 @@ let translate t pid ~vpn =
   let frame = Page_table.frame_of p.table vpn in
   if frame < 0 then None else Some frame
 
-(* Clock scan for an unpinned resident frame to evict. Returns false
-   when every allocated frame is pinned (or owned by no process, which
-   cannot happen outside the garbage frame). *)
+let owner_of t frame =
+  if frame >= 0 && frame < Array.length t.owner then t.owner.(frame)
+  else no_owner
+
+let set_owner t frame packed =
+  let len = Array.length t.owner in
+  if frame >= len then begin
+    let total = Frame_allocator.total t.frames in
+    let bigger = Array.make (max (frame + 1) (min total (2 * len))) no_owner in
+    Array.blit t.owner 0 bigger 0 len;
+    t.owner <- bigger
+  end;
+  t.owner.(frame) <- packed
+
+(* Clock scan for an unpinned resident frame to evict. It runs only
+   when no frame is free, so every frame but the garbage one backs a
+   resident page; when all those pages are pinned the scan would visit
+   [total - 1] frames, find nothing and leave the hand where it
+   started, so it is skipped. *)
 let try_evict t =
   let total = Frame_allocator.total t.frames in
   let rec scan remaining =
@@ -65,22 +94,24 @@ let try_evict t =
     else begin
       let f = t.clock_hand in
       t.clock_hand <- if f + 1 >= total then 1 else f + 1;
-      match Hashtbl.find_opt t.owner f with
-      | None -> scan (remaining - 1)
-      | Some (pid, vpn) ->
-        let p = proc t pid in
+      let packed = owner_of t f in
+      if packed = no_owner then scan (remaining - 1)
+      else begin
+        let p = Pid_table.find t.procs (Pid.of_int (packed lsr vpn_bits)) in
+        let vpn = packed land Page_table.max_vpn in
         if Page_table.frame_of p.table vpn >= 0 && Page_table.pin_of p.table vpn = 0
         then begin
           Page_table.remove p.table vpn;
-          Hashtbl.remove t.owner f;
+          t.owner.(f) <- no_owner;
           Frame_allocator.free t.frames f;
           t.evictions <- t.evictions + 1;
           true
         end
         else scan (remaining - 1)
+      end
     end
   in
-  scan (total - 1)
+  t.pinned < total - 1 && scan (total - 1)
 
 let rec alloc_frame t =
   match Frame_allocator.alloc t.frames with
@@ -96,13 +127,24 @@ let ensure_resident t pid ~vpn =
     | None -> Error `Out_of_memory
     | Some f ->
       Page_table.set p.table vpn ~frame:f;
-      Hashtbl.replace t.owner f (pid, vpn);
+      set_owner t f ((Pid.to_int pid lsl vpn_bits) lor vpn);
       t.faults <- t.faults + 1;
       Ok f
+
+(* Move one page's pin count by [delta] (+1 or -1), keeping the
+   process's and the host's pinned-page counts in step. *)
+let adjust_pin t p vpn ~delta =
+  let now = Page_table.adjust_pin p.table vpn ~delta in
+  if now = (if delta > 0 then 1 else 0) then begin
+    p.pinned <- p.pinned + delta;
+    t.pinned <- t.pinned + delta
+  end
 
 let pin t pid ~vpn ~count =
   if count <= 0 then invalid_arg "Host_memory.pin: count must be positive";
   let p = proc t pid in
+  if vpn < 0 || vpn + count - 1 > Page_table.max_vpn then
+    invalid_arg "Host_memory.pin: vpn out of range";
   let frames = Array.make count 0 in
   let rec pin_from i =
     if i = count then Ok frames
@@ -111,14 +153,12 @@ let pin t pid ~vpn ~count =
       | Error _ as e ->
         (* Roll back the pages this call already pinned. *)
         for j = 0 to i - 1 do
-          let remaining = Page_table.adjust_pin p.table (vpn + j) ~delta:(-1) in
-          if remaining = 0 then p.pinned <- p.pinned - 1
+          adjust_pin t p (vpn + j) ~delta:(-1)
         done;
         e
       | Ok f ->
         frames.(i) <- f;
-        let now = Page_table.adjust_pin p.table (vpn + i) ~delta:1 in
-        if now = 1 then p.pinned <- p.pinned + 1;
+        adjust_pin t p (vpn + i) ~delta:1;
         pin_from (i + 1)
   in
   match pin_from 0 with
@@ -137,8 +177,7 @@ let unpin t pid ~vpn ~count =
       invalid_arg "Host_memory.unpin: page not pinned"
   done;
   for i = 0 to count - 1 do
-    let remaining = Page_table.adjust_pin p.table (vpn + i) ~delta:(-1) in
-    if remaining = 0 then p.pinned <- p.pinned - 1
+    adjust_pin t p (vpn + i) ~delta:(-1)
   done;
   t.unpin_calls <- t.unpin_calls + 1;
   t.pages_unpinned <- t.pages_unpinned + count
@@ -155,7 +194,10 @@ let pinned_pages t pid = (proc t pid).pinned
 
 let recount_pinned t pid = Page_table.pinned_count (proc t pid).table
 
-let frame_owner t ~frame = Hashtbl.find_opt t.owner frame
+let frame_owner t ~frame =
+  let packed = owner_of t frame in
+  if packed = no_owner then None
+  else Some (Pid.of_int (packed lsr vpn_bits), packed land Page_table.max_vpn)
 
 let resident_pages t pid = Page_table.resident_count (proc t pid).table
 

@@ -40,7 +40,8 @@ val pin : t -> Pid.t -> vpn:int -> count:int -> (int array, pin_error) result
     [vpn .. vpn+count-1], faulting pages in as needed, and returns their
     frames. On [`Out_of_memory] no page of the range is left pinned by
     this call.
-    @raise Invalid_argument if [count <= 0]. *)
+    @raise Invalid_argument if [count <= 0] or the range leaves
+    [0 .. Page_table.max_vpn]; nothing is pinned then either. *)
 
 val unpin : t -> Pid.t -> vpn:int -> count:int -> unit
 (** Decrement pin counts over the range.

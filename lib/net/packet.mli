@@ -26,7 +26,7 @@ val header_bytes : int
 (** Fixed wire overhead per packet (route + header fields): 16. *)
 
 val crc32 : bytes -> int32
-(** CRC-32 (IEEE polynomial, bitwise implementation). *)
+(** CRC-32 (IEEE polynomial, table-driven implementation). *)
 
 val make :
   src:int -> dst:int -> chan:int -> seq:int -> kind:kind -> route:int list ->

@@ -69,7 +69,8 @@ type process = {
 (* The live backstop, built from [config.backstop] at [create]; a store
    sized to zero is [Bare], so it degenerates to the plain engine.
    Both stores key lines by (pid lsl 20) lor vpn (vpns fit
-   Translation_table's 20 bits).
+   Translation_table's 20 bits); a vpn past the table would alias
+   another pid's key, so its probes miss.
 
    [Victims]: a flat key -> frame map bounded by a FIFO ring of the
    keys in insertion order. Ring slots may hold keys that already left
@@ -163,6 +164,7 @@ let rest_base ~sets ~ways key =
 let restseg_frame t pid vpn =
   match t.store with
   | Bare | Victims _ -> -1
+  | Rest _ when vpn > Translation_table.max_vpn -> -1
   | Rest { sets; ways; keys; frames } ->
     let key = store_key pid vpn in
     let base = rest_base ~sets ~ways key in
@@ -176,6 +178,7 @@ let restseg_frame t pid vpn =
 let recall t pid vpn =
   match t.store with
   | Bare | Rest _ -> -1
+  | Victims _ when vpn > Translation_table.max_vpn -> -1
   | Victims { map; _ } ->
     let key = store_key pid vpn in
     let slot = Flat_map.find map key in
@@ -495,14 +498,16 @@ let note_recovery t pid ~vpn () =
 let serve_entry_via_interrupt t pid p vpn =
   t.fault_interrupts <- t.fault_interrupts + 1;
   observe t ~pid ~vpn ~count:Probe.no_count Ev.Interrupt;
-  match Translation_table.lookup p.table ~vpn with
-  | Translation_table.Frame frame -> fill_cache t pid vpn frame
-  | Translation_table.Garbage -> ()
-  | Translation_table.Table_swapped _ ->
-    ignore (Translation_table.swap_in p.table ~dir_index:(vpn lsr 10));
-    (match Translation_table.lookup p.table ~vpn with
+  (* A page past the table's last entry has no entry to install. *)
+  if vpn <= Translation_table.max_vpn then
+    match Translation_table.lookup p.table ~vpn with
     | Translation_table.Frame frame -> fill_cache t pid vpn frame
-    | Translation_table.Garbage | Translation_table.Table_swapped _ -> ())
+    | Translation_table.Garbage -> ()
+    | Translation_table.Table_swapped _ ->
+      ignore (Translation_table.swap_in p.table ~dir_index:(vpn lsr 10));
+      (match Translation_table.lookup p.table ~vpn with
+      | Translation_table.Frame frame -> fill_cache t pid vpn frame
+      | Translation_table.Garbage | Translation_table.Table_swapped _ -> ())
 
 (* NI-side translation of one page: Shared UTLB-Cache lookup, with a
    [prefetch]-entry fill on a miss. Only valid (pinned) translations are
@@ -566,6 +571,7 @@ let ni_translate t pid p vpn =
       | None -> false
       | Some inj ->
         Injector.table_swap inj
+        && vpn <= Translation_table.max_vpn
         && Translation_table.swap_out p.table ~dir_index:(vpn lsr 10)
              ~disk_block:1
         &&
@@ -793,7 +799,12 @@ let lookup t ~pid ~vpn ~npages =
         | Some s -> s
         | None -> assert false (* check_miss implies a clear page *)
       in
-      let reach = max (vpn + npages) (start + t.config.prepin) in
+      (* Pages past the translation table's last entry are never
+         pinned; the NI reads the garbage frame for them (UP02). *)
+      let reach =
+        min (Translation_table.max_vpn + 1)
+          (max (vpn + npages) (start + t.config.prepin))
+      in
       let extra = reach - (vpn + npages) in
       if extra > 0 then
         observe t ~pid ~vpn:(vpn + npages) ~count:extra Ev.Pre_pin;
@@ -801,22 +812,23 @@ let lookup t ~pid ~vpn ~npages =
          pin limit: eviction below may unpin pages inside this window,
          and those must not be re-pinned by this lookup. *)
       let nruns = ref 0 and incoming = ref 0 in
-      Bitvec.iter_clear_runs p.pinned ~vpn:start ~count:(reach - start)
-        (fun ~vpn:run_vpn ~count:run_len ->
-          let i = !nruns in
-          if i = Array.length t.run_start then begin
-            let grow a =
-              let b = Array.make (2 * Array.length a) 0 in
-              Array.blit a 0 b 0 (Array.length a);
-              b
-            in
-            t.run_start <- grow t.run_start;
-            t.run_len <- grow t.run_len
-          end;
-          t.run_start.(i) <- run_vpn;
-          t.run_len.(i) <- run_len;
-          nruns := i + 1;
-          incoming := !incoming + run_len);
+      if reach > start then
+        Bitvec.iter_clear_runs p.pinned ~vpn:start ~count:(reach - start)
+          (fun ~vpn:run_vpn ~count:run_len ->
+            let i = !nruns in
+            if i = Array.length t.run_start then begin
+              let grow a =
+                let b = Array.make (2 * Array.length a) 0 in
+                Array.blit a 0 b 0 (Array.length a);
+                b
+              in
+              t.run_start <- grow t.run_start;
+              t.run_len <- grow t.run_len
+            end;
+            t.run_start.(i) <- run_vpn;
+            t.run_len.(i) <- run_len;
+            nruns := i + 1;
+            incoming := !incoming + run_len);
       let quota_unpinned, budget =
         enforce_quota t pid p ~incoming:!incoming ~request_vpn:vpn
           ~request_npages:npages

@@ -324,6 +324,10 @@ let lookup t ~pid ~vpn ~npages =
       ignore (Miss_classifier.classify t.classifier ~pid ~vpn:q);
       observe t ~pid ~vpn:q ~count:Probe.no_count Ev.Ni_miss;
       issue_interrupt t pid q interrupts;
+      (* A page past the translation table's last entry is never pinned:
+         the NI reads the garbage frame for it (UP02). *)
+      if q > Translation_table.max_vpn then ()
+      else
       (* Tenant quota admission: a full tenant first tries to shrink
          itself (evict+unpin one of this process's own pages); if it
          still has no headroom the pin is denied and the page simply

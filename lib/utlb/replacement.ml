@@ -20,7 +20,10 @@ let policy_of_string s =
    page no longer tracked) are discarded lazily at pop time. Snapshot
    keys are unique — the tick is monotonic, so no two pushes carry the
    same (score, page) — which makes the pop order independent of heap
-   internals. Insert/touch/select stay O(log n) with no allocation. *)
+   internals. Once stale entries make up half the heap it is rebuilt
+   from the tracked pages' current snapshots, so its size stays within
+   twice the tracked set. Insert/touch/select stay O(log n) amortised
+   with no allocation. *)
 type t = {
   policy : policy;
   rng : Rng.t;
@@ -111,6 +114,21 @@ let heap_push t ~s1 ~s2 ~page =
     i := parent
   done
 
+let sift_down t i =
+  let i = ref i in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+    let smallest = ref !i in
+    if l < t.hlen && heap_less t l !smallest then smallest := l;
+    if r < t.hlen && heap_less t r !smallest then smallest := r;
+    if !smallest = !i then continue := false
+    else begin
+      heap_swap t !i !smallest;
+      i := !smallest
+    end
+  done
+
 (* Pop the minimum into the given refs; false when empty. *)
 let heap_pop t rs1 rs2 rpage =
   if t.hlen = 0 then false
@@ -123,29 +141,36 @@ let heap_pop t rs1 rs2 rpage =
       t.hs1.(0) <- t.hs1.(t.hlen);
       t.hs2.(0) <- t.hs2.(t.hlen);
       t.hpage.(0) <- t.hpage.(t.hlen);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.hlen && heap_less t l !smallest then smallest := l;
-        if r < t.hlen && heap_less t r !smallest then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          heap_swap t !i !smallest;
-          i := !smallest
-        end
-      done
+      sift_down t 0
     end;
     true
   end
 
+(* Replace the heap by one current snapshot per tracked page. Stale
+   entries are only ever skipped at pop time and keys are unique, so
+   every pop sequence, and so every victim, stays the same. *)
+let rebuild t =
+  t.hlen <- 0;
+  Flat_map.iter t.pages (fun page ~v0:last_use ~v1:uses ->
+      let i = t.hlen in
+      t.hs1.(i) <- score1 t.policy ~last_use ~uses;
+      t.hs2.(i) <- score2 t.policy ~last_use;
+      t.hpage.(i) <- page;
+      t.hlen <- i + 1);
+  for i = (t.hlen / 2) - 1 downto 0 do
+    sift_down t i
+  done
+
+(* Called after [page]'s entry in [t.pages] took its new values, so a
+   rebuild already holds the new snapshot and replaces the push. *)
 let push_snapshot t page ~last_use ~uses =
   if t.policy <> Random then
-    heap_push t
-      ~s1:(score1 t.policy ~last_use ~uses)
-      ~s2:(score2 t.policy ~last_use)
-      ~page
+    if t.hlen >= 64 && t.hlen >= 2 * Flat_map.length t.pages then rebuild t
+    else
+      heap_push t
+        ~s1:(score1 t.policy ~last_use ~uses)
+        ~s2:(score2 t.policy ~last_use)
+        ~page
 
 let dense_add t page =
   if t.dense_len = Array.length t.dense then begin

@@ -156,6 +156,85 @@ let prop_engine_time_order =
       Utlb_sim.Engine.run engine;
       !ok)
 
+(* Buffers at and past the last translation-table entry (UP02): the
+   hierarchical engines (plain and with either backstop) and the
+   interrupt baseline replay them without raising, with and without a
+   fault plan, and keep their sanitizers clean; the pages past the
+   table stay unpinned and read the garbage frame. Pid 1 first fills a
+   small cache so that the backstops hold lines whose keys a pid-0
+   page past the table would alias. (The per-process engine has no
+   garbage index to hand out for such a page and still refuses it.) *)
+let test_buffers_past_the_table () =
+  let module Driver = Sim_driver in
+  let top = Translation_table.max_vpn in
+  let records =
+    List.init 64 (fun vpn -> (1, vpn, 1))
+    @ [ (0, top, 1); (0, top - 5, 16); (0, top + 1, 4); (0, top - 2, 2) ]
+    @ List.init 64 (fun vpn -> (0, top + 1 + vpn, 1))
+  in
+  let trace =
+    Utlb_trace.Trace.of_records
+      (Array.of_list
+         (List.mapi
+            (fun i (pid, vpn, npages) ->
+              Utlb_trace.Record.make ~time_us:(float_of_int i)
+                ~pid:(Pid.of_int pid) ~vpn ~npages ~op:Utlb_trace.Record.Send)
+            records))
+  in
+  let past =
+    List.fold_left
+      (fun n (_, vpn, npages) -> n + min npages (max 0 (vpn + npages - 1 - top)))
+      0 records
+  in
+  let plan =
+    match
+      Utlb_fault.Plan.of_string
+        "dma-fail=0.5,dma-retries=0,cache-invalidate=0.3,table-swap=0.5,\
+         irq-timeout=0.5"
+    with
+    | Ok plan -> plan
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (entry : Driver.Registry.entry) ->
+      let params =
+        match entry.Driver.Registry.name with
+        | "intr" -> [ ("entries", "16") ]
+        | _ -> [ ("entries", "16"); ("prepin", "8") ]
+      in
+      List.iter
+        (fun faults ->
+          let name =
+            entry.Driver.Registry.name
+            ^ if faults = None then "" else " under faults"
+          in
+          let san =
+            Utlb_sim.Sanitizer.create ~mode:Utlb_sim.Sanitizer.Record ()
+          in
+          let report =
+            Driver.run_packed ~sanitizer:san ?faults
+              (entry.Driver.Registry.of_params params)
+              trace
+          in
+          Alcotest.(check int)
+            (name ^ ": every record replayed")
+            (List.length records) report.Report.lookups;
+          (* A page past the table is never cached, so it never hits. *)
+          Alcotest.(check bool)
+            (name ^ ": pages past the table miss")
+            true
+            (report.Report.ni_page_misses >= past);
+          Alcotest.(check (list string))
+            (name ^ ": sanitizer clean")
+            []
+            (List.map
+               (fun v -> v.Utlb_sim.Sanitizer.code)
+               (Utlb_sim.Sanitizer.violations san)))
+        [ None; Some (Utlb_fault.Injector.create ~seed:5L plan) ])
+    (List.filter
+       (fun (e : Driver.Registry.entry) -> e.Driver.Registry.name <> "per-process")
+       (Driver.Registry.mechanisms ()))
+
 let suite =
   [
     Alcotest.test_case "request larger than limit" `Quick
@@ -167,6 +246,8 @@ let suite =
       test_many_processes_interleaved;
     Alcotest.test_case "saved trace simulates identically" `Quick
       test_saved_trace_simulates_identically;
+    Alcotest.test_case "buffers past the table" `Quick
+      test_buffers_past_the_table;
     QCheck_alcotest.to_alcotest prop_mechanism_page_misses_agree;
     QCheck_alcotest.to_alcotest prop_prefix_consistency;
     QCheck_alcotest.to_alcotest prop_engine_time_order;

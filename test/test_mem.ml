@@ -174,6 +174,23 @@ let test_host_pin_rollback () =
   | Error `Out_of_memory -> ());
   Alcotest.(check int) "rolled back" 2 (Host_memory.pinned_pages host pid0)
 
+let test_host_pin_out_of_range () =
+  (* The range is checked before any page is touched: a call that runs
+     past the last vpn pins nothing. *)
+  let host = Host_memory.create ~frames:64 () in
+  Host_memory.add_process host pid0;
+  Alcotest.check_raises "past max vpn"
+    (Invalid_argument "Host_memory.pin: vpn out of range") (fun () ->
+      ignore
+        (Host_memory.pin host pid0 ~vpn:(Page_table.max_vpn - 1) ~count:4));
+  Alcotest.(check int) "nothing pinned" 0 (Host_memory.pinned_pages host pid0);
+  Alcotest.(check int) "nothing faulted in" 0 (Host_memory.faults host);
+  Alcotest.check_raises "negative vpn"
+    (Invalid_argument "Host_memory.pin: vpn out of range") (fun () ->
+      ignore (Host_memory.pin host pid0 ~vpn:(-1) ~count:2));
+  Alcotest.(check int) "still nothing pinned" 0
+    (Host_memory.pinned_pages host pid0)
+
 let test_host_process_isolation () =
   let host = Host_memory.create ~frames:64 () in
   Host_memory.add_process host pid0;
@@ -233,6 +250,7 @@ let suite =
     Alcotest.test_case "host eviction" `Quick test_host_eviction;
     Alcotest.test_case "host OOM all pinned" `Quick test_host_oom_when_all_pinned;
     Alcotest.test_case "host pin rollback" `Quick test_host_pin_rollback;
+    Alcotest.test_case "host pin out of range" `Quick test_host_pin_out_of_range;
     Alcotest.test_case "host process isolation" `Quick test_host_process_isolation;
     Alcotest.test_case "host unknown process" `Quick test_host_unknown_process;
     QCheck_alcotest.to_alcotest prop_pin_unpin_balance;
