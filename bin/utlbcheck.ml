@@ -28,6 +28,7 @@ module Hb = Utlb_check.Hb
 module Explore = Utlb_check.Explore
 module Bound = Utlb_check.Bound
 module Stepper = Utlb.Stepper
+module Sim_driver = Utlb.Sim_driver
 
 (* {2 Shared options and reporting} *)
 
@@ -51,6 +52,42 @@ let quiet_arg =
   Arg.(
     value & flag
     & info [ "q"; "quiet" ] ~doc:"Print nothing; report only the exit code.")
+
+(* The mechanism spec of verify --mech and explore/bound --engine:
+   "name,k=v,...", resolved through the registry, so every subcommand
+   accepts and refuses the same specs the simulator does. *)
+let resolve_spec spec =
+  let rec split acc = function
+    | [] -> Ok (List.rev acc)
+    | p :: rest -> (
+      match String.index_opt p '=' with
+      | None -> Error (Printf.sprintf "mechanism parameter %S is not k=v" p)
+      | Some i ->
+        split
+          (( String.trim (String.sub p 0 i),
+             String.sub p (i + 1) (String.length p - i - 1) )
+          :: acc)
+          rest)
+  in
+  match String.split_on_char ',' spec with
+  | [] -> Error "empty mechanism spec"
+  | name :: params ->
+    Result.bind (split [] params) (fun params ->
+        Sim_driver.Registry.resolve ~name:(String.trim name) ~params)
+
+(* First error in spec order. *)
+let resolve_specs specs =
+  List.fold_right
+    (fun spec acc ->
+      Result.bind (resolve_spec spec) (fun p -> Result.map (List.cons p) acc))
+    specs (Ok [])
+
+(* Every registered mechanism at its defaults. *)
+let registered () =
+  List.filter_map
+    (fun (e : Sim_driver.Registry.entry) ->
+      Result.to_option (Sim_driver.Registry.resolve ~name:e.name ~params:[]))
+    (Sim_driver.Registry.mechanisms ())
 
 let report ~format ~quiet ~inputs findings =
   if not quiet then begin
@@ -208,24 +245,6 @@ let tenants_arg =
            unpin/fetch interleavings UP31. The spec itself is linted \
            (UC180-UC184).")
 
-let parse_mech_spec spec =
-  match String.split_on_char ',' spec with
-  | [] -> Error "empty mechanism spec"
-  | name :: params ->
-    let rec split acc = function
-      | [] -> Ok (List.rev acc)
-      | p :: rest -> (
-        match String.index_opt p '=' with
-        | None -> Error (Printf.sprintf "mechanism parameter %S is not k=v" p)
-        | Some i ->
-          split
-            ((String.sub p 0 i, String.sub p (i + 1) (String.length p - i - 1))
-            :: acc)
-            rest)
-    in
-    Result.bind (split [] params) (fun params ->
-        Protocol.of_mech ~name:(String.trim name) ~params)
-
 let verify_main inputs config mech workloads hbs tenants strict explain quiet
     format =
   match explain_exit explain with
@@ -261,8 +280,8 @@ let verify_main inputs config mech workloads hbs tenants strict explain quiet
   let sems =
     match (mech, config) with
     | Some spec, _ -> (
-      match parse_mech_spec spec with
-      | Ok sem -> [ sem ]
+      match resolve_spec spec with
+      | Ok packed -> [ Sim_driver.stepper packed ]
       | Error msg ->
         usage_error := Some msg;
         [])
@@ -273,7 +292,7 @@ let verify_main inputs config mech workloads hbs tenants strict explain quiet
         []
       | Ok (cfg, parse_findings) ->
         base_findings := parse_findings;
-        [ Protocol.of_config cfg ])
+        [ Sim_driver.stepper (Config_file.packed cfg) ])
     | None, None -> Protocol.defaults
   in
   match !usage_error with
@@ -300,14 +319,14 @@ let verify_main inputs config mech workloads hbs tenants strict explain quiet
               | Ok grid -> Protocol.verify_grid grid
             else
               List.concat_map
-                (fun (sem : Protocol.semantics) ->
+                (fun sem ->
                   match Protocol.verify_file sem path with
                   | Error msg ->
                     Format.eprintf "utlbcheck: %s@." msg;
                     unreadable := true;
                     []
                   | Ok fs ->
-                    let context = Some (path ^ ":" ^ sem.Protocol.label) in
+                    let context = Some (path ^ ":" ^ Stepper.mechanism sem) in
                     List.map
                       (fun (f : Finding.t) -> { f with Finding.context })
                       fs)
@@ -483,54 +502,16 @@ let explore_main engines config trace_in procs pages sets requests page_cap
       | Ok v -> f v
     in
     let base_findings = ref [] in
-    let* sems =
-      match engines with
-      | _ :: _ ->
-        List.fold_left
-          (fun acc spec ->
-            Result.bind acc (fun sems ->
-                let name, params =
-                  match String.index_opt spec ',' with
-                  | None -> (String.trim spec, [])
-                  | Some i ->
-                    ( String.trim (String.sub spec 0 i),
-                      String.sub spec (i + 1) (String.length spec - i - 1)
-                      |> String.split_on_char ','
-                      |> List.map (fun p ->
-                             match String.index_opt p '=' with
-                             | None -> (String.trim p, "")
-                             | Some j ->
-                               ( String.trim (String.sub p 0 j),
-                                 String.sub p (j + 1)
-                                   (String.length p - j - 1) )) )
-                in
-                Result.map
-                  (fun sem -> (name, sem) :: sems)
-                  (Explore.semantics_of_mech ~name ~params)))
-          (Ok []) engines
-        |> Result.map List.rev
-      | [] -> (
-        match config with
-        | Some path -> (
-          match Config_file.parse_file path with
-          | Error msg -> Error msg
-          | Ok (cfg, parse_findings) ->
-            base_findings := parse_findings;
-            Ok
-              [
-                ( Config_file.engine_name cfg.Config_file.engine,
-                  Explore.semantics_of_config cfg );
-              ])
-        | None ->
-          Ok
-            (List.filter_map
-               (fun (entry : Utlb.Sim_driver.Registry.entry) ->
-                 match
-                   Explore.semantics_of_mech ~name:entry.name ~params:[]
-                 with
-                 | Ok sem -> Some (entry.name, sem)
-                 | Error _ -> None)
-               (Utlb.Sim_driver.Registry.mechanisms ())))
+    let* engines =
+      match (engines, config) with
+      | _ :: _, _ -> resolve_specs engines
+      | [], Some path -> (
+        match Config_file.parse_file path with
+        | Error msg -> Error msg
+        | Ok (cfg, parse_findings) ->
+          base_findings := parse_findings;
+          Ok [ Config_file.packed cfg ])
+      | [], None -> Ok (registered ())
     in
     let* program =
       match trace_in with
@@ -551,8 +532,9 @@ let explore_main engines config trace_in procs pages sets requests page_cap
     let econfig = { Explore.scope; max_depth = depth; budget } in
     let results =
       List.map
-        (fun (label, sem) -> Explore.explore ~config:econfig ~label sem)
-        sems
+        (fun packed ->
+          Explore.explore ~config:econfig (Sim_driver.stepper packed))
+        engines
     in
     (* Stats go to stderr so --format json stays a pure finding array
        on stdout; a truncated search is flagged even under --quiet
@@ -740,20 +722,6 @@ let sanitize_label label =
                | _ -> '/')
              label)))
 
-let split_engine_spec spec =
-  match String.index_opt spec ',' with
-  | None -> (String.trim spec, [])
-  | Some i ->
-    ( String.trim (String.sub spec 0 i),
-      String.sub spec (i + 1) (String.length spec - i - 1)
-      |> String.split_on_char ','
-      |> List.map (fun p ->
-             match String.index_opt p '=' with
-             | None -> (String.trim p, "")
-             | Some j ->
-               ( String.trim (String.sub p 0 j),
-                 String.sub p (j + 1) (String.length p - j - 1) )) )
-
 let workloads_npages () =
   List.fold_left
     (fun acc (spec : Utlb_trace.Workloads.spec) ->
@@ -795,9 +763,9 @@ let bound_main grids engines config slo npages procs faults tenants workloads
       | Some spec -> Utlb_tenant.Tenant.of_string spec
     in
     let npages = if workloads then workloads_npages () else npages in
-    let analyze_tenanted ?model ~tenants packed ~label =
+    let analyze ?model ?label ~tenants packed =
       Bound.analyze ?model ~faults ?tenants ~slo ~npages ~processes:procs
-        ~label packed
+        ?label packed
     in
     (* Grid certification: every mechanism point of every grid, under
        the grid's own tenancy spec (a mechanism-level [tenants=] param
@@ -817,54 +785,19 @@ let bound_main grids engines config slo npages procs faults tenants workloads
                   Printf.sprintf "%s:%s" grid.Utlb_exp.Grid.name
                     (Utlb_exp.Grid.mech_label m)
                 in
-                let tenant_spec =
-                  match List.assoc_opt "tenants" m.Utlb_exp.Grid.params with
-                  | Some s -> Some s
-                  | None -> grid.Utlb_exp.Grid.tenants
-                in
-                let tenancy =
-                  match Option.map Utlb_tenant.Tenant.of_string tenant_spec with
-                  | None | Some (Ok None) -> None
-                  | Some (Ok (Some cfg)) -> Some cfg
-                  | Some (Error msg) ->
-                    Format.eprintf "utlbcheck: %s: %s@." label msg;
-                    unreadable := true;
-                    None
-                in
-                match
-                  Utlb.Sim_driver.Registry.find m.Utlb_exp.Grid.mech_name
-                with
-                | None ->
-                  Format.eprintf "utlbcheck: %s: unregistered mechanism %S@."
-                    path m.Utlb_exp.Grid.mech_name;
+                match Utlb_exp.Grid.resolve grid m with
+                | Ok (packed, tenants) -> Some (analyze ~label ~tenants packed)
+                | Error msg ->
+                  Format.eprintf "utlbcheck: %s: %s@." label msg;
                   unreadable := true;
-                  None
-                | Some entry -> (
-                  try
-                    Some
-                      (analyze_tenanted ~tenants:tenancy
-                         (entry.Utlb.Sim_driver.Registry.of_params
-                            (List.remove_assoc "tenants"
-                               m.Utlb_exp.Grid.params))
-                         ~label)
-                  with Invalid_argument msg ->
-                    Format.eprintf "utlbcheck: %s: %s@." label msg;
-                    unreadable := true;
-                    None))
+                  None)
               grid.Utlb_exp.Grid.mechanisms)
         grids
     in
     let* engine_bounds =
-      List.fold_left
-        (fun acc spec ->
-          Result.bind acc (fun bounds ->
-              let name, params = split_engine_spec spec in
-              Result.map
-                (fun b -> b :: bounds)
-                (Bound.analyze_mech ~faults ?tenants:cli_tenants ~slo ~npages
-                   ~processes:procs ~name ~params ())))
-        (Ok []) engines
-      |> Result.map List.rev
+      Result.map
+        (List.map (fun packed -> analyze ~tenants:cli_tenants packed))
+        (resolve_specs engines)
     in
     let* config_bounds =
       match config with
@@ -874,25 +807,18 @@ let bound_main grids engines config slo npages procs faults tenants workloads
         | Error msg -> Error msg
         | Ok (cfg, parse_findings) ->
           base_findings := parse_findings;
-          let packed, model = Bound.of_config cfg in
           Ok
             [
-              analyze_tenanted ~model ~tenants:cli_tenants packed
-                ~label:(Config_file.engine_name cfg.Config_file.engine);
+              analyze ~model:(Config_file.cost_model cfg) ~tenants:cli_tenants
+                (Config_file.packed cfg);
             ])
     in
     let default_bounds =
       if grids <> [] || engines <> [] || config <> None then []
       else
-        List.filter_map
-          (fun (entry : Utlb.Sim_driver.Registry.entry) ->
-            match
-              Bound.analyze_mech ~faults ?tenants:cli_tenants ~slo ~npages
-                ~processes:procs ~name:entry.name ~params:[] ()
-            with
-            | Ok b -> Some b
-            | Error _ -> None)
-          (Utlb.Sim_driver.Registry.mechanisms ())
+        List.map
+          (fun packed -> analyze ~tenants:cli_tenants packed)
+          (registered ())
     in
     let bounds = grid_bounds @ engine_bounds @ config_bounds @ default_bounds in
     if bounds = [] && not !unreadable then begin

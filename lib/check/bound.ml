@@ -333,75 +333,6 @@ let analyze ?(model = Cost_model.default) ?(faults = Plan.empty) ?tenants
     findings = Finding.by_severity (List.rev !findings);
   }
 
-let analyze_mech ?model ?faults ?tenants ?slo ?npages ?processes ~name ~params
-    () =
-  match Utlb.Sim_driver.Registry.find name with
-  | None -> Error (Printf.sprintf "unknown mechanism %S" name)
-  | Some entry -> (
-    try
-      Ok
-        (analyze ?model ?faults ?tenants ?slo ?npages ?processes
-           ~label:entry.Utlb.Sim_driver.Registry.name (entry.of_params params))
-    with Invalid_argument msg -> Error msg)
-
-(* {2 Config files} *)
-
-let pages_of_mb mb = mb * 1024 * 1024 / Utlb_mem.Addr.page_size
-
-let of_config (config : Config_file.t) =
-  let cache =
-    {
-      Utlb.Ni_cache.entries = config.entries;
-      associativity = config.associativity;
-    }
-  in
-  let memory_limit_pages = Option.map pages_of_mb config.limit_mb in
-  let packed =
-    match config.engine with
-    | Config_file.Utlb ->
-      Utlb.Engine_intf.Packed
-        ( (module Utlb.Hier_engine),
-          {
-            Utlb.Hier_engine.cache;
-            prefetch = config.prefetch;
-            prepin = config.prepin;
-            policy = config.policy;
-            memory_limit_pages;
-            backstop = No_backstop;
-          } )
-    | Config_file.Intr ->
-      Utlb.Engine_intf.Packed
-        ((module Utlb.Intr_engine), { Utlb.Intr_engine.cache; memory_limit_pages })
-    | Config_file.Per_process ->
-      Utlb.Engine_intf.Packed
-        ( (module Utlb.Pp_engine),
-          {
-            Utlb.Pp_engine.sram_budget_entries = config.sram_budget_entries;
-            processes = config.processes;
-            policy = config.policy;
-          } )
-  in
-  (* Malformed anchor lists fall back to the paper defaults here; the
-     configuration linter reports them with UC14x codes separately. *)
-  let table anchors =
-    try Some (Utlb_sim.Cost_table.create anchors)
-    with Invalid_argument _ -> None
-  in
-  let model =
-    Cost_model.create ~user_check_us:config.user_check_us
-      ~ni_hit_us:config.ni_hit_us ~ni_direct_us:config.ni_direct_us
-      ~intr_us:config.intr_us ~kernel_pin_us:config.kernel_pin_us
-      ~kernel_unpin_us:config.kernel_unpin_us
-      ~check_min_us:config.check_min_us
-      ?pin_table:(table config.pin_table)
-      ?unpin_table:(table config.unpin_table)
-      ?ni_miss_table:(table config.ni_miss_table)
-      ?dma_table:(table config.dma_table)
-      ?check_max_table:(table config.check_max_table)
-      ()
-  in
-  (packed, model)
-
 (* {2 Witness targets} *)
 
 let witness_target (scope : Stepper.scope) t =

@@ -104,26 +104,6 @@ val analyze :
     certified; [processes] (default 8) scales the node-wide pinned
     bound. Deterministic and simulation-free. *)
 
-val analyze_mech :
-  ?model:Utlb.Cost_model.t ->
-  ?faults:Utlb_fault.Plan.t ->
-  ?tenants:Utlb_tenant.Tenant.config ->
-  ?slo:slo ->
-  ?npages:int ->
-  ?processes:int ->
-  name:string ->
-  params:(string * string) list ->
-  unit ->
-  (t, string) result
-(** Resolve a registry mechanism spec (the [--engine name,k=v,...]
-    form) and {!analyze} it. [Error] on an unknown mechanism or
-    malformed parameters. *)
-
-val of_config : Config_file.t -> Utlb.Engine_intf.packed * Utlb.Cost_model.t
-(** The packed engine and cost model a parsed configuration file
-    declares (cost tables that fail to construct fall back to the
-    paper defaults; {!Config_lint} reports them separately). *)
-
 val witness_target : Utlb.Stepper.scope -> t -> int
 (** The pinned bound clamped to an exploration scope: what a concrete
     schedule inside [scope] can actually realize ([procs] processes,

@@ -76,7 +76,8 @@ let protocol =
     ("UP00", "trace record does not parse");
     ("UP01", "pin-balance break: a buffer larger than the memory limit \
               forces the pinned population past the limit (in-flight \
-              pages are protected from eviction)");
+              pages are protected from eviction; under the interrupt \
+              baseline only a limit below its cache size can break)");
     ("UP02", "garbage-frame reuse: the buffer extends past the \
               translation table, so the NI dereferences the garbage \
               frame");

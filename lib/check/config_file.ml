@@ -75,6 +75,55 @@ let default =
     faults = None;
   }
 
+let mechanism config =
+  let cache =
+    { Ni_cache.entries = config.entries; associativity = config.associativity }
+  in
+  let memory_limit_pages =
+    Option.map
+      (fun mb -> mb * 1024 * 1024 / Utlb_mem.Addr.page_size)
+      config.limit_mb
+  in
+  match config.engine with
+  | Utlb ->
+    Utlb.Sim_driver.Utlb
+      {
+        Utlb.Hier_engine.cache;
+        prefetch = config.prefetch;
+        prepin = config.prepin;
+        policy = config.policy;
+        memory_limit_pages;
+        backstop = No_backstop;
+      }
+  | Intr -> Utlb.Sim_driver.Intr { Utlb.Intr_engine.cache; memory_limit_pages }
+  | Per_process ->
+    Utlb.Sim_driver.Per_process
+      {
+        Utlb.Pp_engine.sram_budget_entries = config.sram_budget_entries;
+        processes = config.processes;
+        policy = config.policy;
+      }
+
+let packed config = Utlb.Sim_driver.pack (mechanism config)
+
+let cost_model config =
+  (* Malformed anchor lists fall back to the paper defaults here; the
+     configuration linter reports them with UC14x codes separately. *)
+  let table anchors =
+    try Some (Utlb_sim.Cost_table.create anchors)
+    with Invalid_argument _ -> None
+  in
+  Utlb.Cost_model.create ~user_check_us:config.user_check_us
+    ~ni_hit_us:config.ni_hit_us ~ni_direct_us:config.ni_direct_us
+    ~intr_us:config.intr_us ~kernel_pin_us:config.kernel_pin_us
+    ~kernel_unpin_us:config.kernel_unpin_us ~check_min_us:config.check_min_us
+    ?pin_table:(table config.pin_table)
+    ?unpin_table:(table config.unpin_table)
+    ?ni_miss_table:(table config.ni_miss_table)
+    ?dma_table:(table config.dma_table)
+    ?check_max_table:(table config.check_max_table)
+    ()
+
 (* Anchor-table syntax: "1:27, 2:30.5, 4:36". *)
 let parse_anchors s =
   let parse_pair chunk =

@@ -59,6 +59,18 @@ type t = {
 val default : t
 (** The paper-default Hierarchical-UTLB configuration. *)
 
+val mechanism : t -> Utlb.Sim_driver.mechanism
+(** The engine configuration the file declares. *)
+
+val packed : t -> Utlb.Sim_driver.packed
+(** {!mechanism}, packed: the one map from a config file to an engine
+    that every checker uses. *)
+
+val cost_model : t -> Utlb.Cost_model.t
+(** The cost model the file declares (cost tables that fail to
+    construct fall back to the paper defaults; {!Config_lint} reports
+    them separately). *)
+
 val parse_string : ?source:string -> string -> t * Finding.t list
 (** Parse config text. Syntactic problems (unparseable lines, bad
     values, unknown or duplicate keys) are returned as findings; the

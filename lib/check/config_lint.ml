@@ -318,34 +318,13 @@ let lint_faults ?context spec =
 
 (* --- Whole parsed configurations ------------------------------------ *)
 
-let pages_of_mb mb = mb * 1024 * 1024 / Utlb_mem.Addr.page_size
-
 let lint_config (config : Config_file.t) =
   let context = config.source in
-  let cache : Ni_cache.config =
-    { entries = config.entries; associativity = config.associativity }
-  in
-  let memory_limit_pages = Option.map pages_of_mb config.limit_mb in
   let engine_findings =
-    match config.engine with
-    | Config_file.Utlb ->
-      lint_hier ~context
-        {
-          cache;
-          prefetch = config.prefetch;
-          prepin = config.prepin;
-          policy = config.policy;
-          memory_limit_pages;
-          backstop = No_backstop;
-        }
-    | Config_file.Intr -> lint_intr ~context { cache; memory_limit_pages }
-    | Config_file.Per_process ->
-      lint_pp ~context
-        {
-          sram_budget_entries = config.sram_budget_entries;
-          processes = config.processes;
-          policy = config.policy;
-        }
+    match Config_file.mechanism config with
+    | Utlb.Sim_driver.Utlb c -> lint_hier ~context c
+    | Utlb.Sim_driver.Intr c -> lint_intr ~context c
+    | Utlb.Sim_driver.Per_process c -> lint_pp ~context c
   in
   let anchor_findings =
     lint_cost_anchors ~context ~name:"pin_table" config.pin_table

@@ -53,36 +53,7 @@ type result = {
   stats : stats;
 }
 
-(* {2 Deriving semantics} *)
-
-let semantics_of_packed (Utlb.Engine_intf.Packed ((module E), cfg)) =
-  E.stepper cfg
-
-let semantics_of_mech ~name ~params =
-  match Utlb.Sim_driver.Registry.find name with
-  | None -> Error (Printf.sprintf "unknown mechanism %S" name)
-  | Some entry -> (
-    try Ok (semantics_of_packed (entry.of_params params))
-    with Invalid_argument msg -> Error msg)
-
-let pages_of_mb mb = mb * 1024 * 1024 / Utlb_mem.Addr.page_size
-
-let semantics_of_config (config : Config_file.t) =
-  let limit_pages = Option.map pages_of_mb config.limit_mb in
-  match config.engine with
-  | Config_file.Utlb ->
-    Stepper.Hier
-      { prepin = config.prepin; limit_pages; backstop = Stepper.No_backstop }
-  | Config_file.Intr ->
-    Stepper.Intr { entries = config.entries; limit_pages }
-  | Config_file.Per_process ->
-    Stepper.Static
-      {
-        processes = config.processes;
-        share =
-          (if config.processes <= 0 then 0
-           else config.sram_budget_entries / config.processes);
-      }
+(* {2 Trace mode} *)
 
 let program_of_records records =
   List.map
@@ -298,10 +269,6 @@ let persistent_set scope sem st enb =
   in
   pick chain_pids
 
-let severity_of = function
-  | Stepper.Error -> Finding.Error
-  | Stepper.Warning -> Finding.Warning
-
 let explore ?(config = default_config) ?label sem =
   let scope = config.scope in
   let label = match label with Some l -> l | None -> Stepper.mechanism sem in
@@ -324,8 +291,7 @@ let explore ?(config = default_config) ?label sem =
     if not (Hashtbl.mem found (v.code, v.pid)) then begin
       Hashtbl.replace found (v.code, v.pid) ();
       findings :=
-        Finding.v ~context:label ~severity:(severity_of v.severity)
-          ~code:v.code v.message
+        Finding.v ~context:label ~severity:v.severity ~code:v.code v.message
         :: !findings;
       let chronological = List.rev path in
       counterexamples :=

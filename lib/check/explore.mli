@@ -7,7 +7,9 @@
     interrupt delivery, DMA use ({!Utlb.Stepper.action}) — for a small
     configuration (a few processes x pages x NI-cache lines) against
     the step-level semantics any registered engine derives via
-    {!Utlb.Engine_intf.S.stepper}. A new engine gets a machine-checked
+    {!Utlb.Engine_intf.S.stepper} — the same model {!Protocol} runs on
+    ({!Utlb.Sim_driver.stepper} of a resolved mechanism or of
+    {!Config_file.packed}). A new engine gets a machine-checked
     protocol certificate the moment it registers.
 
     The search is a depth-first enumeration with:
@@ -24,8 +26,10 @@
     - {b bounded search} — a depth cap and a transition budget; hitting
       either is reported in {!stats.truncation}, never silent.
 
-    Violations combine the admission codes of {!Protocol} (UP01-UP05,
-    found on [Issue] transitions) with the exploration-only codes
+    Violations combine the admission codes of
+    {!Utlb.Stepper.admission} (UP01-UP05, found on [Issue]
+    transitions, the rules {!Protocol} runs per record) with the
+    exploration-only codes
     UP20-UP23 ({!Catalogue.exploration}): deadlock, unreachable-unpin
     leak, non-quiescent terminal state, and in-flight invalidation
     races. Each first (code, pid) violation is minimized to a
@@ -90,24 +94,7 @@ type result = {
   stats : stats;
 }
 
-(** {2 Deriving semantics} *)
-
-val semantics_of_packed : Utlb.Engine_intf.packed -> Utlb.Stepper.semantics
-(** The engine's own step-level view
-    ({!Utlb.Engine_intf.S.stepper}). *)
-
-val semantics_of_mech :
-  name:string ->
-  params:(string * string) list ->
-  (Utlb.Stepper.semantics, string) Stdlib.result
-(** Resolve a registry mechanism spec (the [--engine name,k=v,...]
-    form) through {!Utlb.Sim_driver.Registry} and derive its
-    semantics. [Error] on an unknown mechanism or malformed
-    parameters. *)
-
-val semantics_of_config : Config_file.t -> Utlb.Stepper.semantics
-(** Step-level semantics of a parsed configuration file (mirrors
-    {!Protocol.of_config}). *)
+(** {2 Trace mode} *)
 
 val program_of_records :
   Utlb_trace.Record.t list -> (int * Utlb.Stepper.request) list

@@ -1,97 +1,13 @@
 module Record = Utlb_trace.Record
 module Trace = Utlb_trace.Trace
 module Workloads = Utlb_trace.Workloads
-
-type model =
-  | Hier of {
-      entries : int;
-      prefetch : int;
-      prepin : int;
-      limit_pages : int option;
-    }
-  | Intr of { entries : int; limit_pages : int option }
-  | Per_process of { processes : int; entries_per_process : int }
-
-type semantics = { model : model; label : string }
-
-let pages_of_mb mb = mb * 1024 * 1024 / Utlb_mem.Addr.page_size
-
-let of_config (config : Config_file.t) =
-  let limit_pages = Option.map pages_of_mb config.limit_mb in
-  let model =
-    match config.engine with
-    | Config_file.Utlb ->
-      Hier
-        {
-          entries = config.entries;
-          prefetch = config.prefetch;
-          prepin = config.prepin;
-          limit_pages;
-        }
-    | Config_file.Intr -> Intr { entries = config.entries; limit_pages }
-    | Config_file.Per_process ->
-      Per_process
-        {
-          processes = config.processes;
-          entries_per_process =
-            (if config.processes <= 0 then 0
-             else config.sram_budget_entries / config.processes);
-        }
-  in
-  { model; label = Config_file.engine_name config.engine }
-
-(* Mirrors the parameter names and defaults of the
-   {!Utlb.Sim_driver.Registry} registrations, so a grid cell is modelled
-   with exactly the capacities its simulation would run with. Parameters
-   the abstraction ignores (assoc, policy, cost scalars) are accepted
-   silently, as the registry accepts them. *)
-let of_mech ~name ~params =
-  let int_param key ~default =
-    match List.assoc_opt key params with
-    | None -> Ok default
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "parameter %s=%S is not an integer" key s))
-  in
-  let ( let* ) = Result.bind in
-  let limit () =
-    let* mb = int_param "limit-mb" ~default:(-1) in
-    Ok (if mb < 0 then None else Some (pages_of_mb mb))
-  in
-  match name with
-  | "utlb" | "victima" | "utopia" ->
-    (* The modern engines layer host-resident acceleration structures
-       (victim store, RestSeg) over the hierarchical pin protocol; the
-       abstract pin-state lattice is identical. *)
-    let* entries = int_param "entries" ~default:8192 in
-    let* prefetch = int_param "prefetch" ~default:1 in
-    let* prepin = int_param "prepin" ~default:1 in
-    let* limit_pages = limit () in
-    Ok { model = Hier { entries; prefetch; prepin; limit_pages }; label = name }
-  | "intr" ->
-    let* entries = int_param "entries" ~default:8192 in
-    let* limit_pages = limit () in
-    Ok { model = Intr { entries; limit_pages }; label = name }
-  | "per-process" ->
-    let* budget = int_param "budget" ~default:8192 in
-    let* processes = int_param "processes" ~default:5 in
-    Ok
-      {
-        model =
-          Per_process
-            {
-              processes;
-              entries_per_process =
-                (if processes <= 0 then 0 else budget / processes);
-            };
-        label = name;
-      }
-  | _ -> Error (Printf.sprintf "unknown mechanism %S" name)
+module Stepper = Utlb.Stepper
 
 let defaults =
   List.map
-    (fun engine -> of_config { Config_file.default with engine })
+    (fun engine ->
+      Utlb.Sim_driver.stepper
+        (Config_file.packed { Config_file.default with engine }))
     [ Config_file.Utlb; Config_file.Intr; Config_file.Per_process ]
 
 (* {2 Abstract state} *)
@@ -109,7 +25,7 @@ type per_pid = {
 }
 
 type state = {
-  model : model;
+  sem : Stepper.semantics;
   procs : (int, per_pid) Hashtbl.t;
   emitted : (string * int, unit) Hashtbl.t;
       (* One finding per (code, pid): the first offending record
@@ -117,7 +33,7 @@ type state = {
          information. *)
 }
 
-let init model = { model; procs = Hashtbl.create 8; emitted = Hashtbl.create 8 }
+let init sem = { sem; procs = Hashtbl.create 8; emitted = Hashtbl.create 8 }
 
 let per_pid state pid =
   match Hashtbl.find_opt state.procs pid with
@@ -143,102 +59,33 @@ let pinned_interval state ~pid =
 
 let set_page p vpn pg = Hashtbl.replace p.pages vpn (p.epoch, pg)
 
-let capacity = function
-  | Hier { limit_pages = Some l; _ } | Intr { limit_pages = Some l; _ } -> l
-  | Hier _ | Intr _ -> max_int
-  | Per_process { entries_per_process; _ } -> entries_per_process
-
 let max_vpn = Utlb.Translation_table.max_vpn
-
-let emit state ~code ~pid acc finding =
-  if Hashtbl.mem state.emitted (code, pid) then acc
-  else begin
-    Hashtbl.replace state.emitted (code, pid) ();
-    finding () :: acc
-  end
 
 let step state ~line (r : Record.t) =
   let pid = Utlb_mem.Pid.to_int r.pid in
   let n = r.npages in
-  let findings = ref [] in
-  let emit ~code f = findings := emit state ~code ~pid !findings f in
-  (* Admission: the buffer must fit the translation table, whatever the
-     engine; past it the NI translates through entries that do not
-     exist. *)
-  if r.vpn + n - 1 > max_vpn then
-    emit ~code:"UP02" (fun () ->
-        Finding.vf ~code:"UP02" ~line
-          "buffer [%#x, %#x] extends past the translation table (max vpn \
-           %#x); the NI dereferences the garbage frame"
-          r.vpn
-          (r.vpn + n - 1)
-          max_vpn);
-  (* Capacity checks per declared engine semantics. *)
-  (match state.model with
-  | Hier { prepin; limit_pages; _ } -> (
-    match limit_pages with
-    | None -> ()
-    | Some l ->
-      if n > l then
-        emit ~code:"UP01" (fun () ->
-            Finding.vf ~code:"UP01" ~line
-              "record pins %d pages at once but the per-process limit is %d \
-               pages; in-flight pages are protected from eviction, so the \
-               engine must break the limit"
-              n l)
-      else if prepin > 1 && n + prepin - 1 > l then
-        emit ~code:"UP05" (fun () ->
-            Finding.vf ~severity:Finding.Warning ~code:"UP05" ~line
-              "buffer of %d pages fits the %d-page limit but its pre-pin \
-               window (%d) reaches %d pages; replacement may invalidate \
-               NI entries of the in-flight buffer"
-              n l prepin
-              (n + prepin - 1)))
-  | Intr { entries; limit_pages } -> (
-    if n > entries then
-      emit ~code:"UP03" (fun () ->
-          Finding.vf ~code:"UP03" ~line
-            "buffer of %d pages is wider than the %d-entry cache; under \
-             cached = pinned, self-conflict eviction unpins the first %d \
-             page(s) while their transfer is in flight"
-            n entries (n - entries));
-    match limit_pages with
-    | Some l when n > l ->
-      emit ~code:"UP01" (fun () ->
-          Finding.vf ~code:"UP01" ~line
-            "record pins %d pages at once but the per-process limit is %d \
-             pages; in-flight pages are protected from eviction, so the \
-             engine must break the limit"
-            n l)
-    | _ -> ())
-  | Per_process { processes; entries_per_process } ->
-    if
-      (not (Hashtbl.mem state.procs pid))
-      && Hashtbl.length state.procs >= processes
-    then
-      emit ~code:"UP04" (fun () ->
-          Finding.vf ~code:"UP04" ~line
-            "process %d is distinct process number %d but only %d \
-             per-process tables are carved; the engine aborts"
-            pid
-            (Hashtbl.length state.procs + 1)
-            processes);
-    if n > entries_per_process then
-      emit ~code:"UP04" (fun () ->
-          Finding.vf ~code:"UP04" ~line
-            "buffer of %d pages is wider than the %d-entry per-process \
-             table share; every index is protected, eviction cannot free \
-             one, and the engine aborts"
-            n entries_per_process));
+  let findings =
+    Stepper.admission state.sem
+      ~known:(Hashtbl.mem state.procs pid)
+      ~distinct:(Hashtbl.length state.procs) ~pid
+      { Stepper.vpn = r.vpn; npages = n; op = r.op }
+    |> List.filter_map (fun (v : Stepper.violation) ->
+           if Hashtbl.mem state.emitted (v.code, pid) then None
+           else begin
+             Hashtbl.replace state.emitted (v.code, pid) ();
+             Some
+               (Finding.v ~line ~severity:v.severity ~code:v.code v.message)
+           end)
+  in
   (* Lattice update: the request span ends pinned; if its admission may
      force replacement, previously pinned pages become possible victims
      ([Top]) via an epoch bump. *)
   let p = per_pid state pid in
-  let cap = capacity state.model in
+  let cap = Stepper.capacity state.sem in
   let extra =
-    match state.model with
-    | Hier { prepin; _ } -> max 0 (prepin - 1)
-    | Intr _ | Per_process _ -> 0
+    match state.sem with
+    | Stepper.Hier { prepin; _ } -> max 0 (prepin - 1)
+    | Stepper.Intr _ | Stepper.Static _ -> 0
   in
   let total = n + extra in
   if p.hi + total > cap then begin
@@ -265,13 +112,13 @@ let step state ~line (r : Record.t) =
   (* The provable unpin of the intr pigeonhole: with [cached = pinned]
      and more pages than entries, filling the tail must have evicted the
      head of the very same span. *)
-  (match state.model with
-  | Intr { entries; _ } when n > entries ->
+  (match state.sem with
+  | Stepper.Intr { entries; _ } when n > entries ->
     for vpn = r.vpn to min (r.vpn + n - entries - 1) max_vpn do
       set_page p vpn Unpinned
     done
   | _ -> ());
-  List.rev !findings
+  findings
 
 (* {2 Drivers} *)
 
@@ -284,13 +131,13 @@ let with_context context findings =
         match f.Finding.context with None -> { f with context } | Some _ -> f)
       findings
 
-let verify_records ?context (sem : semantics) records =
-  let state = init sem.model in
+let verify_records ?context sem records =
+  let state = init sem in
   List.concat_map (fun (line, r) -> step state ~line r) records
   |> with_context context
 
-let verify_trace ?context (sem : semantics) trace =
-  let state = init sem.model in
+let verify_trace ?context sem trace =
+  let state = init sem in
   let findings = ref [] in
   let line = ref 0 in
   Trace.iter trace (fun r ->
@@ -300,11 +147,11 @@ let verify_trace ?context (sem : semantics) trace =
       | fs -> findings := List.rev_append fs !findings);
   with_context context (List.rev !findings)
 
-let verify_file (sem : semantics) path =
+let verify_file sem path =
   match In_channel.with_open_text path In_channel.input_lines with
   | exception Sys_error msg -> Error msg
   | lines ->
-    let state = init sem.model in
+    let state = init sem in
     let findings = ref [] in
     List.iteri
       (fun i raw ->
@@ -324,15 +171,15 @@ let verify_file (sem : semantics) path =
 
 let verify_workload ?(seed = Utlb.Sim_driver.default_seed) sem
     (spec : Workloads.spec) =
-  let context = spec.Workloads.name ^ "/" ^ sem.label in
+  let context = spec.Workloads.name ^ "/" ^ Stepper.mechanism sem in
   verify_trace ~context sem (spec.Workloads.generate ~seed)
 
 let verify_grid (grid : Utlb_exp.Grid.t) =
   let module Grid = Utlb_exp.Grid in
   (* Traces are generated once per distinct workload spec with the grid
      seed — the exact streams {!Utlb_exp.Runner} will simulate. Verdicts
-     are memoised per (trace, model): a policy sweep shares one model
-     across many cells. *)
+     are memoised per (trace, semantics): a policy sweep shares one
+     model across many cells. *)
   let traces = ref [] in
   let trace_of (spec : Workloads.spec) =
     match List.find_opt (fun (s, _) -> s == spec) !traces with
@@ -343,17 +190,12 @@ let verify_grid (grid : Utlb_exp.Grid.t) =
       t
   in
   let verdicts = ref [] in
-  let verdict_of (spec : Workloads.spec) model =
-    match
-      List.find_opt (fun (s, m, _) -> s == spec && m = model) !verdicts
-    with
+  let verdict_of (spec : Workloads.spec) sem =
+    match List.find_opt (fun (s, m, _) -> s == spec && m = sem) !verdicts with
     | Some (_, _, fs) -> fs
     | None ->
-      let fs =
-        verify_trace { model; label = "" } (trace_of spec)
-        |> List.map (fun (f : Finding.t) -> { f with Finding.context = None })
-      in
-      verdicts := (spec, model, fs) :: !verdicts;
+      let fs = verify_trace sem (trace_of spec) in
+      verdicts := (spec, sem, fs) :: !verdicts;
       fs
   in
   List.concat_map
@@ -363,14 +205,11 @@ let verify_grid (grid : Utlb_exp.Grid.t) =
           c.Grid.workload.Workloads.name
           (Grid.mech_label c.Grid.mech)
       in
-      let mech = c.Grid.mech in
-      match
-        of_mech ~name:mech.Grid.mech_name ~params:mech.Grid.params
-      with
+      match Grid.resolve grid c.Grid.mech with
       | Error msg ->
         [ Finding.v ~context ~code:"UP00" ("cannot model mechanism: " ^ msg) ]
-      | Ok sem ->
-        verdict_of c.Grid.workload sem.model
+      | Ok (packed, _) ->
+        verdict_of c.Grid.workload (Utlb.Sim_driver.stepper packed)
         |> List.map (fun (f : Finding.t) ->
                { f with Finding.context = Some context }))
     (Grid.cells grid)

@@ -4,22 +4,27 @@
     The runtime sanitizers (UV01-UV08) only catch a pin-protocol
     violation when a particular simulated run happens to trip it. This
     pass symbolically executes a {!Utlb_trace.Record} stream against
-    the declared engine semantics {e before} any simulation, tracking
-    an abstract pin-state lattice per (process, page) —
+    an engine's pin-protocol model {e before} any simulation. The model
+    is the engine's own {!Utlb.Stepper.semantics}
+    ({!Utlb.Sim_driver.stepper} of a resolved mechanism or of
+    {!Config_file.packed}), the one [utlbcheck explore] and [bound] run
+    on too. Each record goes through {!Utlb.Stepper.admission}, the only
+    copy of the UP01-UP05 rules ({!Catalogue.protocol}); this module
+    adds an abstract pin-state lattice per (process, page) —
     [Garbage <= Pinned _ <= Top], with [Unpinned] for pages a process
-    removal provably released — plus a per-process
-    \[lo, hi\] interval on the pinned-page population, and reports
-    traces that must or may violate the protocol with stable UP0x
-    codes ({!Catalogue.protocol}):
+    removal provably released — plus a per-process \[lo, hi\] interval
+    on the pinned-page population, and reports each rule once per
+    (code, process):
 
     - [UP01] {e pin balance vs memory limit} (must, hier/intr with a
-      limit): a buffer larger than the limit forces the engine to hold
-      more pinned pages than the limit allows — in-flight pages are
-      protected from eviction, so the declared limit is broken;
+      limit; under intr only a limit below the cache size): a buffer
+      larger than the limit forces the engine to hold more pinned pages
+      than the limit allows — in-flight pages are protected from
+      eviction, so the declared limit is broken;
     - [UP02] {e garbage-frame reuse} (must): the buffer extends past
       the translation table, so the NI would translate through entries
       that do not exist — the garbage-frame scheme dereferences
-      garbage, and {!Utlb.Translation_table} aborts the run;
+      garbage;
     - [UP03] {e DMA into unpinned memory} (must, intr): a buffer wider
       than the Shared UTLB-Cache self-conflicts by pigeonhole; under
       cached <=> pinned, filling the tail evicts — and {e unpins} —
@@ -36,36 +41,12 @@
     - [UP00] a trace line that does not parse ({!verify_file} only).
 
     Must-findings are [Error], may-findings are [Warning]; both carry
-    the 1-based trace line number. *)
+    the 1-based trace line number. Labels come from
+    {!Utlb.Stepper.mechanism}. *)
 
-type model =
-  | Hier of {
-      entries : int;  (** Shared UTLB-Cache entries. *)
-      prefetch : int;
-      prepin : int;
-      limit_pages : int option;  (** Per-process pinned-page limit. *)
-    }
-  | Intr of { entries : int; limit_pages : int option }
-  | Per_process of { processes : int; entries_per_process : int }
-
-type semantics = { model : model; label : string }
-
-val of_config : Config_file.t -> semantics
-(** Declared semantics of a parsed configuration (the engine selection
-    plus the capacity parameters the abstract transfer functions
-    need). *)
-
-val of_mech :
-  name:string -> params:(string * string) list -> (semantics, string) result
-(** Semantics of a campaign mechanism point, mirroring the
-    {!Utlb.Sim_driver.Registry} parameter names and defaults
-    ([entries], [prefetch], [prepin], [limit-mb], [budget],
-    [processes]). [Error] on an unknown mechanism or a malformed
-    integer parameter. *)
-
-val defaults : semantics list
-(** The three paper-default engines ({!of_config} of
-    {!Config_file.default} per engine selection). *)
+val defaults : Utlb.Stepper.semantics list
+(** The three paper-default engines (utlb, intr, per-process at
+    {!Config_file.default}). *)
 
 (** {2 Abstract state} *)
 
@@ -78,11 +59,11 @@ type page = Garbage | Pinned of int | Unpinned | Top
 
 type state
 
-val init : model -> state
+val init : Utlb.Stepper.semantics -> state
 
 val step : state -> line:int -> Utlb_trace.Record.t -> Finding.t list
-(** Abstractly execute one record: admission and capacity checks, then
-    the span (and, for hier, its pre-pin window) joins into the page
+(** Abstractly execute one record: {!Utlb.Stepper.admission}, then the
+    span (and, for hier, its pre-pin window) joins into the page
     lattice and the \[lo, hi\] pinned interval; a population bound
     overflow demotes possible victims to [Top]. Returned findings
     carry [line] but no context (the driver adds it). *)
@@ -96,24 +77,27 @@ val pinned_interval : state -> pid:int -> int * int
 (** {2 Drivers} *)
 
 val verify_records :
-  ?context:string -> semantics -> (int * Utlb_trace.Record.t) list ->
-  Finding.t list
+  ?context:string -> Utlb.Stepper.semantics ->
+  (int * Utlb_trace.Record.t) list -> Finding.t list
 (** Run {!step} over [(line, record)] pairs in order and collect
     findings, stamping [context]. *)
 
 val verify_trace :
-  ?context:string -> semantics -> Utlb_trace.Trace.t -> Finding.t list
+  ?context:string -> Utlb.Stepper.semantics -> Utlb_trace.Trace.t ->
+  Finding.t list
 (** {!verify_records} over a generated trace, lines numbered from 1 in
     record order. *)
 
-val verify_file : semantics -> string -> (Finding.t list, string) result
+val verify_file :
+  Utlb.Stepper.semantics -> string -> (Finding.t list, string) result
 (** Verify a saved trace file: blank and [#] lines are skipped,
     unparseable records become UP00 findings (real line numbers), and
     parsed records run through {!step}. [Error] only when the file
     cannot be read. *)
 
 val verify_workload :
-  ?seed:int64 -> semantics -> Utlb_trace.Workloads.spec -> Finding.t list
+  ?seed:int64 -> Utlb.Stepper.semantics -> Utlb_trace.Workloads.spec ->
+  Finding.t list
 (** Generate the workload's trace (default seed
     {!Utlb.Sim_driver.default_seed}, the seed [utlbsim run] uses) and
     verify it; context is ["workload/mechanism"]. *)
@@ -121,7 +105,8 @@ val verify_workload :
 val verify_grid : Utlb_exp.Grid.t -> Finding.t list
 (** Verify every cell of a campaign: each workload trace is generated
     once (grid seed, as {!Utlb_exp.Runner} does) and checked against
-    each mechanism point's {!of_mech} semantics; verdicts are computed
-    once per distinct (trace, model) pair but reported per cell, with
-    the cell label as context. A mechanism {!of_mech} cannot model
-    becomes a UP00 finding. *)
+    the semantics of each mechanism point ({!Utlb_exp.Grid.resolve},
+    the runner's own resolver); verdicts are computed once per distinct
+    (trace, semantics) pair but reported per cell, with the cell label
+    as context. A point that does not resolve becomes a UP00
+    finding. *)

@@ -57,14 +57,28 @@ let cell_seed t cell =
 
 let param cell key = List.assoc_opt key cell.mech.params
 
-let tenant_spec t cell =
+let resolve t m =
   (* A mechanism-axis [tenants=] value (the comma-free spec grammar was
      chosen so a whole spec fits in one axis value) overrides the
      grid-level directive, letting one grid sweep partitioned against
      unpartitioned points. *)
-  match param cell "tenants" with
-  | Some spec -> Some spec
-  | None -> t.tenants
+  let spec =
+    match List.assoc_opt "tenants" m.params with
+    | Some spec -> Some spec
+    | None -> t.tenants
+  in
+  match
+    Utlb.Sim_driver.Registry.resolve ~name:m.mech_name
+      ~params:(List.remove_assoc "tenants" m.params)
+  with
+  | Error e -> Error e
+  | Ok packed -> (
+    match spec with
+    | None -> Ok (packed, None)
+    | Some spec -> (
+      match Utlb_tenant.Tenant.of_string spec with
+      | Ok tenancy -> Ok (packed, tenancy)
+      | Error e -> Error (Printf.sprintf "bad tenants spec %S: %s" spec e)))
 
 (* ------------------------------------------------------------------ *)
 (* Grid-file parsing                                                   *)

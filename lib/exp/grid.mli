@@ -70,10 +70,19 @@ val cell_seed : t -> cell -> int64
 val param : cell -> string -> string option
 (** Look up one mechanism parameter of the cell. *)
 
-val tenant_spec : t -> cell -> string option
-(** The tenancy spec governing [cell]: its [tenants=] mechanism
-    parameter when present (so one grid can sweep partitioning modes as
-    an axis), otherwise the grid-level [tenants] directive. *)
+val resolve :
+  t ->
+  mech ->
+  (Utlb.Sim_driver.packed * Utlb_tenant.Tenant.config option, string) result
+(** The engine and tenancy of one mechanism point: the one resolver the
+    runner, [utlbcheck] and [utlbsim sweep --slo] share. The engine
+    comes from {!Utlb.Sim_driver.Registry.resolve} (the [tenants]
+    parameter removed); the tenancy from the point's [tenants=]
+    parameter when present (so one grid can sweep partitioning modes
+    as an axis), otherwise the grid-level [tenants] directive; [None]
+    runs untenanted. [Error] names an unregistered mechanism, a
+    malformed parameter, a config the engine refuses, or a malformed
+    tenants spec. *)
 
 val of_string : ?name:string -> string -> (t, string) result
 (** Parse the grid-file syntax above. Lines are [key tokens...];

@@ -56,35 +56,17 @@ let trace_of traces ~seed (spec : Workloads.spec) =
 let run ?(domains = 1) ?(sanitize = false) ?(observe = false) ?trace ?faults
     ?cache grid =
   let cells = Array.of_list (Grid.cells grid) in
-  (* Resolve every mechanism up front: registry and parameter errors
-     surface here, in the calling domain, before any simulation. *)
-  let packed =
+  (* Resolve every mechanism and tenancy up front: registry, parameter
+     and tenants-spec errors surface here, in the calling domain,
+     before any simulation. Each cell compiles its own arbiter later:
+     arbiters hold mutable per-tenant counters, so sharing one across
+     cells (or domains) would corrupt the accounting. *)
+  let resolved =
     Array.map
       (fun (c : Grid.cell) ->
-        match Sim_driver.Registry.find c.Grid.mech.Grid.mech_name with
-        | None ->
-          invalid_arg
-            (Printf.sprintf "Runner.run: unregistered mechanism %S"
-               c.Grid.mech.Grid.mech_name)
-        | Some entry ->
-          entry.Sim_driver.Registry.of_params c.Grid.mech.Grid.params)
-      cells
-  in
-  (* Resolve tenancy up front too, so a malformed spec fails in the
-     calling domain. Each cell compiles its own arbiter later: arbiters
-     hold mutable per-tenant counters, so sharing one across cells (or
-     domains) would corrupt the accounting. *)
-  let tenancies =
-    Array.map
-      (fun (c : Grid.cell) ->
-        match Grid.tenant_spec grid c with
-        | None -> None
-        | Some spec -> (
-          match Tenant.of_string spec with
-          | Ok cfg -> cfg
-          | Error e ->
-            invalid_arg
-              (Printf.sprintf "Runner.run: bad tenants spec %S: %s" spec e)))
+        match Grid.resolve grid c.Grid.mech with
+        | Ok r -> r
+        | Error e -> invalid_arg ("Runner.run: " ^ e))
       cells
   in
   let traces = generate_traces ?cache ~seed:grid.Grid.seed cells in
@@ -151,12 +133,12 @@ let run ?(domains = 1) ?(sanitize = false) ?(observe = false) ?trace ?faults
                 if tenant >= 0 && tenant < Array.length summaries then
                   Metrics.Stats.Summary.observe summaries.(tenant) rate));
           arb)
-        tenancies.(i)
+        (snd resolved.(i))
     in
     let report =
       Sim_driver.run_packed ~seed:cell_seed ?sanitizer ?obs ?faults:injector
         ?tenancy ~label
-        packed.(i)
+        (fst resolved.(i))
         (trace_of traces ~seed:grid.Grid.seed c.Grid.workload)
     in
     {

@@ -62,7 +62,7 @@ val run :
     campaign) are byte-identical at any domain count. [cache] shares
     generated traces across runs (see {!trace_cache}).
 
-    Cells governed by a tenancy spec ({!Grid.tenant_spec}: a [tenants=]
+    Cells governed by a tenancy spec ({!Grid.resolve}: a [tenants=]
     mechanism parameter or the grid's [tenants] directive) each compile
     a private {!Utlb_tenant.Arbiter} and run tenanted: quotas and cache
     partitions are enforced, and the per-tenant accounting lands in the
@@ -70,8 +70,9 @@ val run :
     completed miss-rate windows additionally stream into the cell
     registry as [tenant/<name>/window_miss_rate] summaries.
     @raise Invalid_argument on an unregistered mechanism name,
-    malformed mechanism parameters, or a malformed tenants spec
-    (before any cell runs). *)
+    malformed mechanism parameters, a config the engine refuses, or a
+    malformed tenants spec (before any cell runs), with
+    {!Grid.resolve}'s message prefixed by ["Runner.run: "]. *)
 
 val merged_report : outcome list -> Utlb.Report.t
 (** {!Utlb.Report.merge} over the outcomes' reports — campaign-wide

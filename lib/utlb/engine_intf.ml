@@ -20,6 +20,13 @@ module type S = sig
 
   val default_config : config
 
+  val validate : config -> unit
+  (** Accept exactly the configurations {!create} accepts: [create]
+      runs it first, and {!Sim_driver.Registry} runs it on every
+      registered mechanism's parameters, so a checker that only builds
+      a config rejects what the engine would refuse.
+      @raise Invalid_argument naming the offending parameter. *)
+
   type t
 
   val create :

@@ -38,6 +38,8 @@ let default_config =
 let validate config =
   if config.prefetch < 1 then invalid_arg "Hier_engine: prefetch must be >= 1";
   if config.prepin < 1 then invalid_arg "Hier_engine: prepin must be >= 1";
+  if Option.value ~default:0 config.memory_limit_pages < 0 then
+    invalid_arg "Hier_engine: memory limit must be >= 0 pages";
   if Ni_cache.sets_of_config config.cache = None then
     invalid_arg
       "Hier_engine: cache entries must be a positive multiple of the ways \

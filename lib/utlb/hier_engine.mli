@@ -70,9 +70,9 @@ val default_config : config
 val validate : config -> unit
 (** Accept exactly the configurations {!create} accepts; the registry
     calls it so checkers reject what the engine would refuse.
-    @raise Invalid_argument on a non-positive prefetch/prepin, an
-    invalid cache geometry, a negative backstop size, or a
-    non-power-of-two RestSeg set count. *)
+    @raise Invalid_argument on a non-positive prefetch/prepin, a
+    negative memory limit, an invalid cache geometry, a negative
+    backstop size, or a non-power-of-two RestSeg set count. *)
 
 type t
 

@@ -18,6 +18,14 @@ let default_config =
     memory_limit_pages = None;
   }
 
+let validate config =
+  if Ni_cache.sets_of_config config.cache = None then
+    invalid_arg
+      "Intr_engine: cache entries must be a positive multiple of the ways \
+       with a power-of-two set count";
+  if Option.value ~default:0 config.memory_limit_pages < 0 then
+    invalid_arg "Intr_engine: memory limit must be >= 0 pages"
+
 module Pid_table = Hashtbl.Make (struct
   type t = Pid.t
 
@@ -230,6 +238,7 @@ let compile_san = function
     }
 
 let create ?host ?sanitizer ?obs ?faults ?tenancy ~seed (config : config) =
+  validate config;
   let host = match host with Some h -> h | None -> Host_memory.create () in
   let cache = Ni_cache.create config.cache in
   let tenancy = Option.value ~default:Arbiter.none tenancy in

@@ -21,6 +21,11 @@ type config = {
 
 val default_config : config
 
+val validate : config -> unit
+(** Accept exactly the configurations {!create} accepts.
+    @raise Invalid_argument on an invalid cache geometry or a negative
+    memory limit. *)
+
 type t
 
 val create :
@@ -45,7 +50,8 @@ val create :
     and be re-issued (bounded by the plan's [irq-retries]) and cache
     lines may be spuriously invalidated — repaired from the host page
     table without re-pinning, preserving cached <=> pinned. Recoveries
-    are counted in the report's [fault_recoveries]. *)
+    are counted in the report's [fault_recoveries].
+    @raise Invalid_argument as {!validate}. *)
 
 val host : t -> Utlb_mem.Host_memory.t
 

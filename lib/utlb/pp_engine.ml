@@ -45,12 +45,15 @@ let entries_per_process (config : config) =
   if config.processes <= 0 then 0
   else config.sram_budget_entries / config.processes
 
-let create ?host ?sanitizer ?obs ?faults ?tenancy ~seed config =
+let validate config =
   if config.processes <= 0 then
-    invalid_arg "Pp_engine.create: processes must be positive";
+    invalid_arg "Pp_engine: processes must be positive";
+  if entries_per_process config <= 0 then
+    invalid_arg "Pp_engine: budget divides to zero entries"
+
+let create ?host ?sanitizer ?obs ?faults ?tenancy ~seed config =
+  validate config;
   let per_process = entries_per_process config in
-  if per_process <= 0 then
-    invalid_arg "Pp_engine.create: budget divides to zero entries";
   let host = match host with Some h -> h | None -> Host_memory.create () in
   let tenancy = Option.value ~default:Arbiter.none tenancy in
   {

@@ -34,6 +34,11 @@ val entries_per_process : config -> int
     ({!create} would raise). Lets static analyses size the per-process
     tables without building an engine. *)
 
+val validate : config -> unit
+(** Accept exactly the configurations {!create} accepts.
+    @raise Invalid_argument unless [processes > 0] and the budget gives
+    each process a non-empty share. *)
+
 type t
 
 val create :
@@ -51,8 +56,7 @@ val create :
     injected DMA failures (retried; an exhausted budget falls back to
     an interrupt-path install) — recoveries are counted in the
     report's [fault_recoveries].
-    @raise Invalid_argument if the budget divides to zero entries per
-    process. *)
+    @raise Invalid_argument as {!validate}. *)
 
 val table_entries_per_process : t -> int
 

@@ -17,6 +17,8 @@ let pack = function
 
 let mechanism_name (Packed ((module E), _)) = E.mechanism
 
+let stepper (Packed ((module E), config)) = E.stepper config
+
 let default_seed = 0x5EED_CAFEL
 
 let src =
@@ -106,9 +108,22 @@ module Registry = struct
       invalid_arg
         (Printf.sprintf "Sim_driver.Registry.register: %S already registered"
            name);
+    (* Every entry refuses what its engine's [create] would refuse, so
+       the checkers, which never create an engine, cannot certify it. *)
+    let of_params params =
+      let (Packed ((module E), config) as packed) = of_params params in
+      E.validate config;
+      packed
+    in
     Hashtbl.replace table key { name = key; doc; of_params }
 
   let find name = Hashtbl.find_opt table (String.lowercase_ascii name)
+
+  let resolve ~name ~params =
+    match find name with
+    | None -> Error (Printf.sprintf "unregistered mechanism %S" name)
+    | Some entry -> (
+      try Ok (entry.of_params params) with Invalid_argument msg -> Error msg)
 
   let mechanisms () =
     Hashtbl.fold (fun _ e acc -> e :: acc) table []
@@ -164,22 +179,16 @@ let cache_param params =
   }
 
 (* The three hierarchical mechanisms share every parameter but the
-   backstop's. Validating here as well as at [create] makes the
-   checkers, which never create an engine, reject what it would
-   refuse. *)
+   backstop's. *)
 let hier_params params ~backstop =
-  let config =
-    {
-      Hier_engine.cache = cache_param params;
-      prefetch = int_param params "prefetch" ~default:1;
-      prepin = int_param params "prepin" ~default:1;
-      policy = policy_param params ~default:Replacement.Lru;
-      memory_limit_pages = limit_param params;
-      backstop;
-    }
-  in
-  Hier_engine.validate config;
-  config
+  {
+    Hier_engine.cache = cache_param params;
+    prefetch = int_param params "prefetch" ~default:1;
+    prepin = int_param params "prepin" ~default:1;
+    policy = policy_param params ~default:Replacement.Lru;
+    memory_limit_pages = limit_param params;
+    backstop;
+  }
 
 let () =
   Registry.register ~name:Hier_engine.mechanism

@@ -28,6 +28,10 @@ val pack : mechanism -> packed
 val mechanism_name : packed -> string
 (** The packed engine's stable name (["utlb"], ["intr"], ...). *)
 
+val stepper : packed -> Stepper.semantics
+(** The packed engine's pin-protocol model ({!Engine_intf.S.stepper}):
+    the one model every checker runs on. *)
+
 val default_seed : int64
 
 val load_trace_lenient : in_channel -> Utlb_trace.Trace.t * int
@@ -107,8 +111,9 @@ val compare_mechanisms :
     [Utlb_exp] campaigns, [utlbsim sweep]/[list], and the bench tables
     with no driver changes. Parameter constructors ignore keys they do
     not understand (so one grid can carry axes for several mechanisms)
-    and raise [Invalid_argument] on malformed values and on
-    configurations the engine's [create] would refuse. *)
+    and raise [Invalid_argument] on malformed values and, through the
+    engine's {!Engine_intf.S.validate}, on configurations its [create]
+    would refuse. *)
 module Registry : sig
   type entry = {
     name : string;  (** Lower-case registry key. *)
@@ -121,10 +126,19 @@ module Registry : sig
     doc:string ->
     ((string * string) list -> packed) ->
     unit
-  (** @raise Invalid_argument if [name] is already taken. *)
+  (** The entry's [of_params] runs the engine's
+      {!Engine_intf.S.validate} on every config it builds.
+      @raise Invalid_argument if [name] is already taken. *)
 
   val find : string -> entry option
   (** Case-insensitive. *)
+
+  val resolve :
+    name:string -> params:(string * string) list -> (packed, string) result
+  (** The one way from a mechanism spec to an engine: {!find} plus
+      [of_params]. [Error] names an unregistered mechanism
+      (["unregistered mechanism \"x\""]), a malformed parameter, or a
+      config the engine refuses. *)
 
   val mechanisms : unit -> entry list
   (** All registered mechanisms, sorted by name. *)

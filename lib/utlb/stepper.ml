@@ -2,6 +2,7 @@
    [utlbcheck explore] enumerates. See stepper.mli for the model. *)
 
 module Record = Utlb_trace.Record
+module Sanitizer = Utlb_sim.Sanitizer
 
 (* {2 Semantics} *)
 
@@ -202,26 +203,31 @@ let first_xfer_sub = function
 
 (* {2 Violations} *)
 
-type severity = Error | Warning
-
 type violation = {
   code : string;
   pid : int;
-  severity : severity;
+  severity : Sanitizer.severity;
   message : string;
 }
 
 let max_vpn = Translation_table.max_vpn
 
-(* Issue-time admission checks mirror Utlb_check.Protocol.step exactly
-   (the differential fuzz test in test_explore.ml holds them to it). *)
-let issue_checks sem st pid (req : request) =
+(* The only copy of the UP01-UP05 admission rules; test_verify.ml
+   replays each one through the engine it describes. *)
+let admission sem ~known ~distinct ~pid (req : request) =
   let n = req.npages in
   let viols = ref [] in
-  let emit ?(severity = Error) code fmt =
+  let emit ?(severity = Sanitizer.Error) code fmt =
     Printf.ksprintf
       (fun message -> viols := { code; pid; severity; message } :: !viols)
       fmt
+  in
+  let up01 l =
+    emit "UP01"
+      "record pins %d pages at once but the per-process limit is %d pages; \
+       in-flight pages are protected from eviction, so the engine must \
+       break the limit"
+      n l
   in
   if req.vpn + n - 1 > max_vpn then
     emit "UP02"
@@ -235,14 +241,9 @@ let issue_checks sem st pid (req : request) =
     match limit_pages with
     | None -> ()
     | Some l ->
-      if n > l then
-        emit "UP01"
-          "record pins %d pages at once but the per-process limit is %d \
-           pages; in-flight pages are protected from eviction, so the \
-           engine must break the limit"
-          n l
+      if n > l then up01 l
       else if prepin > 1 && n + prepin - 1 > l then
-        emit ~severity:Warning "UP05"
+        emit ~severity:Sanitizer.Warning "UP05"
           "buffer of %d pages fits the %d-page limit but its pre-pin window \
            (%d) reaches %d pages; replacement may invalidate NI entries of \
            the in-flight buffer"
@@ -255,22 +256,17 @@ let issue_checks sem st pid (req : request) =
          = pinned, self-conflict eviction unpins the first %d page(s) while \
          their transfer is in flight"
         n entries (n - entries);
+    (* Under cached = pinned the engine never pins more pages than
+       the cache has lines, so only a limit below that can break. *)
     match limit_pages with
-    | Some l when n > l ->
-      emit "UP01"
-        "record pins %d pages at once but the per-process limit is %d \
-         pages; in-flight pages are protected from eviction, so the engine \
-         must break the limit"
-        n l
+    | Some l when n > l && l < entries -> up01 l
     | _ -> ())
   | Static { processes; share } ->
-    if (not (List.mem pid st.seen)) && List.length st.seen >= processes then
+    if (not known) && distinct >= processes then
       emit "UP04"
         "process %d is distinct process number %d but only %d per-process \
          tables are carved; the engine aborts"
-        pid
-        (List.length st.seen + 1)
-        processes;
+        pid (distinct + 1) processes;
     if n > share then
       emit "UP04"
         "buffer of %d pages is wider than the %d-entry per-process table \
@@ -411,7 +407,10 @@ let step_activity st pid f =
 let apply scope sem st action =
   match action with
   | Issue { pid; req } ->
-    let viols = issue_checks sem st pid req in
+    let viols =
+      admission sem ~known:(List.mem pid st.seen)
+        ~distinct:(List.length st.seen) ~pid req
+    in
     let stepped = max 1 (min req.npages scope.page_cap) in
     let act =
       Some
@@ -446,7 +445,7 @@ let apply scope sem st action =
           {
             code = "UP23";
             pid;
-            severity = Error;
+            severity = Sanitizer.Error;
             message =
               Printf.sprintf
                 "NI fetch of page %#x for process %d raced an in-flight \
@@ -471,7 +470,7 @@ let apply scope sem st action =
               {
                 code = "UP23";
                 pid;
-                severity = Error;
+                severity = Sanitizer.Error;
                 message =
                   Printf.sprintf
                     "conflict eviction unpinned page %#x of process %d \
@@ -498,7 +497,7 @@ let apply scope sem st action =
           {
             code = "UP23";
             pid;
-            severity = Error;
+            severity = Sanitizer.Error;
             message =
               Printf.sprintf
                 "DMA into page %#x of process %d while it is not pinned: \
@@ -556,7 +555,7 @@ let terminal_violations scope _sem st =
             {
               code = "UP20";
               pid = p.pid;
-              severity = Error;
+              severity = Sanitizer.Error;
               message =
                 Printf.sprintf
                   "deadlock: process %d is stuck %s on buffer [%#x, %#x] \
@@ -574,7 +573,7 @@ let terminal_violations scope _sem st =
         {
           code = "UP20";
           pid = 0;
-          severity = Error;
+          severity = Sanitizer.Error;
           message =
             "deadlock: protocol work is pending but no action is enabled";
         };
@@ -591,7 +590,7 @@ let terminal_violations scope _sem st =
            {
              code = "UP21";
              pid;
-             severity = Error;
+             severity = Sanitizer.Error;
              message =
                Printf.sprintf
                  "unreachable unpin: exploration terminated with %d page(s) \
@@ -608,7 +607,7 @@ let terminal_violations scope _sem st =
            {
              code = "UP22";
              pid;
-             severity = Error;
+             severity = Sanitizer.Error;
              message =
                Printf.sprintf
                  "non-quiescent final state: process %d left stale \

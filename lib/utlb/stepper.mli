@@ -29,8 +29,8 @@
     deterministic; all nondeterminism is the explorer's choice of
     which enabled action to fire.
 
-    Violations surface in three places: at [issue] (the admission
-    checks, mirroring {!Utlb_check.Protocol} — UP01-UP05), at [apply]
+    Violations surface in three places: at [issue] ({!admission},
+    UP01-UP05, the rules {!Utlb_check.Protocol} also runs), at [apply]
     of a racing action (UP23), and at terminal states
     ({!terminal_violations} — UP20 deadlock, UP21 pin leak, UP22
     non-quiescence). The [mutant] knob seeds one protocol bug at a
@@ -170,16 +170,37 @@ val population : state -> int -> int
 val capacity : semantics -> int
 (** Pinned-page population cap ([max_int] when unlimited). *)
 
-(** {2 The step relation} *)
-
-type severity = Error | Warning
+(** {2 Admission} *)
 
 type violation = {
   code : string;  (** UP01-UP05, UP20-UP23 ({!Utlb_check.Catalogue}). *)
   pid : int;
-  severity : severity;
+  severity : Utlb_sim.Sanitizer.severity;
+      (** The same type as {!Utlb_check.Finding.severity}. *)
   message : string;
 }
+
+val admission :
+  semantics -> known:bool -> distinct:int -> pid:int -> request ->
+  violation list
+(** The UP01-UP05 admission rules for one request of process [pid],
+    checked at issue time: [known] says whether [pid] issued before,
+    [distinct] how many distinct processes did. This is the only copy
+    of the rules; {!apply} runs it on [Issue] and
+    {!Utlb_check.Protocol} on every trace record, and the test suite
+    replays each rule through the engine it describes.
+
+    - UP01 (hier, intr): the buffer is wider than the per-process
+      limit. Under intr the engine never pins more pages than its
+      cache has lines, so UP01 needs a limit below [entries] there.
+    - UP02 (all): the buffer runs past the translation table.
+    - UP03 (intr): the buffer is wider than the cache.
+    - UP04 (per-process): a process beyond the carved tables, or a
+      buffer wider than one table share.
+    - UP05 (hier, warning): the buffer fits the limit but its pre-pin
+      window does not. *)
+
+(** {2 The step relation} *)
 
 val enabled : scope -> semantics -> state -> action list
 (** All actions the protocol allows from [st], deterministically

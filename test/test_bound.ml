@@ -320,23 +320,20 @@ let test_mutant_up42 () =
   Alcotest.(check bool) "negative headroom" true
     (starved.Bound.headroom < 0)
 
+let analyze_mech ~name ~params =
+  Result.map
+    (fun packed -> Bound.analyze ~model packed)
+    (Sim_driver.Registry.resolve ~name ~params)
+
 let test_up43_up44 () =
-  (match
-     Bound.analyze_mech ~model ~name:"intr"
-       ~params:[ ("entries", "16") ]
-       ()
-   with
+  (match analyze_mech ~name:"intr" ~params:[ ("entries", "16") ] with
   | Ok b ->
     Alcotest.(check bool) "UP43 fires for narrow intr cache" true
       (has_code "UP43" b.Bound.findings);
     Alcotest.(check bool) "UP43 is an error under intr semantics" true
       (Finding.has_errors b.Bound.findings)
   | Error e -> Alcotest.fail e);
-  match
-    Bound.analyze_mech ~model ~name:"utlb"
-      ~params:[ ("limit-mb", "8192") ]
-      ()
-  with
+  match analyze_mech ~name:"utlb" ~params:[ ("limit-mb", "8192") ] with
   | Ok b ->
     Alcotest.(check bool) "UP44 fires for unreachable limit" true
       (has_code "UP44" b.Bound.findings);

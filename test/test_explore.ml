@@ -149,17 +149,15 @@ let corpus_semantics conf =
   match conf with
   | Some c -> (
       match Config_file.parse_file (Filename.concat corpus_dir c) with
-      | Ok (cfg, _) ->
-          (Explore.semantics_of_config cfg, Protocol.of_config cfg)
+      | Ok (cfg, _) -> Utlb.Sim_driver.stepper (Config_file.packed cfg)
       | Error e -> failwith e)
-  | None ->
-      (Stepper.Hier { prepin = 1; limit_pages = None; backstop = Stepper.No_backstop }, List.hd Protocol.defaults)
+  | None -> List.hd Protocol.defaults
 
 let test_corpus_rediscovery () =
   List.iter
     (fun (name, conf, trace, expected) ->
       let records = load_records (Filename.concat corpus_dir trace) in
-      let sem, psem = corpus_semantics conf in
+      let sem = corpus_semantics conf in
       let scope =
         {
           Stepper.default_scope with
@@ -184,7 +182,7 @@ let test_corpus_rediscovery () =
       List.iter
         (fun (ce : Explore.counterexample) ->
           let fs =
-            Protocol.verify_records psem
+            Protocol.verify_records sem
               (List.mapi (fun i rec_ -> (i + 1, rec_)) ce.Explore.records)
           in
           Alcotest.(check bool)
@@ -203,9 +201,12 @@ let test_corpus_rediscovery () =
 (* {2 Differential fuzz: Stepper vs Protocol} *)
 
 (* Seeded random traces explored in trace mode must admit exactly the
-   UP0x codes the static verifier reports, and never a spurious UP2x:
-   the honest engines' step semantics and the abstract interpreter are
-   two independent encodings of the same protocol. *)
+   UP0x codes the static verifier reports, and never a spurious UP2x.
+   Both run the same admission rules on the same semantics (the rules
+   themselves are checked against the engines in test_verify.ml), so
+   this holds the explorer's trace-mode bookkeeping — issue order,
+   distinct-pid tracking, per-(code, pid) findings — to the
+   verifier's, and shows the honest engines raise no race. *)
 let test_fuzz_differential () =
   let rng = Random.State.make [| 0x5EED |] in
   for case = 1 to 40 do
@@ -227,28 +228,21 @@ let test_fuzz_differential () =
             ~vpn ~npages
             ~op:(if Random.State.int rng 2 = 0 then Record.Send else Record.Fetch))
     in
-    let pairs =
+    let sems =
       [
-        ( Stepper.Hier
-            { prepin = 4; limit_pages = Some 16; backstop = Stepper.No_backstop },
-          Protocol.Hier
-            { entries = 8192; prefetch = 1; prepin = 4; limit_pages = Some 16 } );
-        ( Stepper.Intr { entries = 8; limit_pages = Some 16 },
-          Protocol.Intr { entries = 8; limit_pages = Some 16 } );
-        ( Stepper.Static { processes = 2; share = 8 },
-          Protocol.Per_process { processes = 2; entries_per_process = 8 } );
-        ( Stepper.Hier
-            { prepin = 4; limit_pages = Some 16; backstop = Stepper.Victim_store },
-          Protocol.Hier
-            { entries = 8192; prefetch = 1; prepin = 4; limit_pages = Some 16 } );
-        ( Stepper.Hier
-            { prepin = 4; limit_pages = Some 16; backstop = Stepper.Restseg },
-          Protocol.Hier
-            { entries = 8192; prefetch = 1; prepin = 4; limit_pages = Some 16 } );
+        Stepper.Hier
+          { prepin = 4; limit_pages = Some 16; backstop = Stepper.No_backstop };
+        Stepper.Intr { entries = 8; limit_pages = Some 16 };
+        Stepper.Intr { entries = 32; limit_pages = Some 16 };
+        Stepper.Static { processes = 2; share = 8 };
+        Stepper.Hier
+          { prepin = 4; limit_pages = Some 16; backstop = Stepper.Victim_store };
+        Stepper.Hier
+          { prepin = 4; limit_pages = Some 16; backstop = Stepper.Restseg };
       ]
     in
     List.iter
-      (fun (ssem, pmodel) ->
+      (fun sem ->
         let scope =
           {
             Stepper.default_scope with
@@ -261,22 +255,21 @@ let test_fuzz_differential () =
           Explore.explore
             ~config:
               { Explore.default_config with Explore.scope; Explore.budget = 500_000 }
-            ssem
+            sem
         in
         let up0x, up2x =
           List.partition (fun c -> c < "UP20") (codes r.Explore.findings)
         in
         let pf =
-          Protocol.verify_records
-            { Protocol.model = pmodel; Protocol.label = "fuzz" }
+          Protocol.verify_records sem
             (List.mapi (fun i rec_ -> (i + 1, rec_)) records)
         in
         let tag =
-          Printf.sprintf "case %d %s" case (Stepper.mechanism ssem)
+          Printf.sprintf "case %d %s" case (Stepper.mechanism sem)
         in
         Alcotest.(check (list string)) (tag ^ " UP0x agree") (codes pf) up0x;
         Alcotest.(check (list string)) (tag ^ " no spurious UP2x") [] up2x)
-      pairs
+      sems
   done
 
 (* {2 Catalogue coverage} *)

@@ -1,8 +1,9 @@
 (* The utlbcheck verify passes: the merged code catalogue, finding
    ordering and JSON output, config-file parsing edge cases, the static
-   protocol verifier's lattice and UP0x triggers, the timeline event
-   parser/reader, the happens-before race detector's UP1x codes, and
-   the LINTS.md <-> catalogue sync. *)
+   protocol verifier's lattice and UP0x triggers, the UP01-UP05
+   admission rules replayed through the engines they describe, the
+   timeline event parser/reader, the happens-before race detector's
+   UP1x codes, and the LINTS.md <-> catalogue sync. *)
 
 module Finding = Utlb_check.Finding
 module Catalogue = Utlb_check.Catalogue
@@ -13,6 +14,10 @@ module Event = Utlb_obs.Event
 module Reader = Utlb_obs.Reader
 module Record = Utlb_trace.Record
 module Pid = Utlb_mem.Pid
+module Host_memory = Utlb_mem.Host_memory
+module Stepper = Utlb.Stepper
+module Sim_driver = Utlb.Sim_driver
+module Sanitizer = Utlb_sim.Sanitizer
 
 let codes fs = List.map (fun (f : Finding.t) -> f.Finding.code) fs
 
@@ -135,12 +140,8 @@ let test_config_empty () =
 let record ?(t = 0.0) ~pid ~vpn ~npages () =
   Record.make ~time_us:t ~pid:(Pid.of_int pid) ~vpn ~npages ~op:Record.Send
 
-let hier ?(entries = 8192) ?(prefetch = 1) ?(prepin = 1) ?limit () =
-  {
-    Protocol.model =
-      Protocol.Hier { entries; prefetch; prepin; limit_pages = limit };
-    label = "utlb";
-  }
+let hier ?(prepin = 1) ?limit () =
+  Stepper.Hier { prepin; limit_pages = limit; backstop = Stepper.No_backstop }
 
 let verify sem records =
   Protocol.verify_records sem
@@ -150,7 +151,7 @@ let test_protocol_clean () =
   List.iter
     (fun sem ->
       Alcotest.(check (list string))
-        ("clean under " ^ sem.Protocol.label)
+        ("clean under " ^ Stepper.mechanism sem)
         []
         (codes
            (verify sem
@@ -177,7 +178,15 @@ let test_protocol_up01 () =
         record ~pid:1 ~vpn:0 ~npages:300 ();
       ]
   in
-  Alcotest.(check (list string)) "per-pid dedup" [ "UP01"; "UP01" ] (codes fs)
+  Alcotest.(check (list string)) "per-pid dedup" [ "UP01"; "UP01" ] (codes fs);
+  (* Under intr the engine never pins more pages than its cache has
+     lines, so UP01 needs a limit below the cache size; the wide buffer
+     is still UP03. *)
+  let intr entries = Stepper.Intr { entries; limit_pages = Some 256 } in
+  Alcotest.(check (list string)) "intr limit below cache" [ "UP01" ]
+    (codes (verify (intr 1024) [ record ~pid:0 ~vpn:0 ~npages:300 () ]));
+  Alcotest.(check (list string)) "intr cache below limit" [ "UP03" ]
+    (codes (verify (intr 8) [ record ~pid:0 ~vpn:0 ~npages:300 () ]))
 
 let test_protocol_up02 () =
   let max_vpn = Utlb.Translation_table.max_vpn in
@@ -190,23 +199,14 @@ let test_protocol_up02 () =
     (codes (verify (hier ()) [ record ~pid:0 ~vpn:(max_vpn - 5) ~npages:6 () ]))
 
 let test_protocol_up03 () =
-  let sem =
-    { Protocol.model = Protocol.Intr { entries = 1024; limit_pages = None };
-      label = "intr" }
-  in
+  let sem = Stepper.Intr { entries = 1024; limit_pages = None } in
   let fs = verify sem [ record ~pid:0 ~vpn:0 ~npages:2000 () ] in
   Alcotest.(check (list string)) "UP03" [ "UP03" ] (codes fs);
   Alcotest.(check (list string)) "at capacity is fine" []
     (codes (verify sem [ record ~pid:0 ~vpn:0 ~npages:1024 () ]))
 
 let test_protocol_up04 () =
-  let sem =
-    {
-      Protocol.model =
-        Protocol.Per_process { processes = 2; entries_per_process = 4096 };
-      label = "per-process";
-    }
-  in
+  let sem = Stepper.Static { processes = 2; share = 4096 } in
   let fs =
     verify sem
       [
@@ -229,7 +229,7 @@ let test_protocol_up05 () =
     (codes (verify sem [ record ~pid:0 ~vpn:0 ~npages:100 () ]))
 
 let test_protocol_lattice () =
-  let state = Protocol.init (hier ~limit:256 ()).Protocol.model in
+  let state = Protocol.init (hier ~limit:256 ()) in
   Alcotest.(check bool) "initially garbage" true
     (Protocol.page_state state ~pid:0 ~vpn:16 = Protocol.Garbage);
   let _ = Protocol.step state ~line:1 (record ~pid:0 ~vpn:16 ~npages:4 ()) in
@@ -247,7 +247,7 @@ let test_protocol_lattice () =
   (* The intr pigeonhole leaves the head of the span provably
      unpinned. *)
   let state =
-    Protocol.init (Protocol.Intr { entries = 1024; limit_pages = None })
+    Protocol.init (Stepper.Intr { entries = 1024; limit_pages = None })
   in
   let _ = Protocol.step state ~line:1 (record ~pid:0 ~vpn:0 ~npages:1030 ()) in
   Alcotest.(check bool) "head unpinned" true
@@ -255,17 +255,36 @@ let test_protocol_lattice () =
   Alcotest.(check bool) "tail pinned" true
     (Protocol.page_state state ~pid:0 ~vpn:1029 = Protocol.Pinned 1)
 
+(* A mechanism spec reaches the verifier through the registry's
+   resolver, like every other checker and the simulator. *)
 let test_protocol_of_mech () =
-  (match Protocol.of_mech ~name:"utlb" ~params:[ ("limit-mb", "1") ] with
-  | Ok { Protocol.model = Protocol.Hier { limit_pages = Some 256; _ }; _ } ->
-    ()
+  let sem name params =
+    Result.map Sim_driver.stepper (Sim_driver.Registry.resolve ~name ~params)
+  in
+  (match sem "utlb" [ ("limit-mb", "1") ] with
+  | Ok (Stepper.Hier { limit_pages = Some 256; _ }) -> ()
   | _ -> Alcotest.fail "utlb limit-mb=1 should model as 256 pages");
-  (match Protocol.of_mech ~name:"nonesuch" ~params:[] with
-  | Error _ -> ()
+  (match sem "UTLB" [] with
+  | Ok (Stepper.Hier _) -> ()
+  | _ -> Alcotest.fail "names are case-insensitive");
+  (match sem "nonesuch" [] with
+  | Error msg ->
+    Alcotest.(check string) "wording" "unregistered mechanism \"nonesuch\"" msg
   | Ok _ -> Alcotest.fail "unknown mechanism must not model");
-  match Protocol.of_mech ~name:"intr" ~params:[ ("entries", "lots") ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "malformed parameter must not model"
+  List.iter
+    (fun (name, params) ->
+      match sem name params with
+      | Error _ -> ()
+      | Ok _ ->
+        Alcotest.failf "%s %s must not model" name
+          (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) params)))
+    [
+      ("intr", [ ("entries", "lots") ]);
+      ("utlb", [ ("prefetch", "0") ]);
+      ("utlb", [ ("limit-mb", "-1") ]);
+      ("intr", [ ("entries", "3") ]);
+      ("per-process", [ ("processes", "0") ]);
+    ]
 
 let test_protocol_verify_file () =
   let path = Filename.temp_file "utlb_verify" ".trace" in
@@ -293,6 +312,213 @@ let test_protocol_verify_grid () =
   | Ok grid ->
     Alcotest.(check (list string)) "shipped-style grid is clean" []
       (codes (Protocol.verify_grid grid))
+
+(* {2 Admission rules against the engines}
+
+   Stepper.admission is the only copy of the UP01-UP05 rules, so the
+   engines are its reference: a "must" finding has to happen when the
+   record runs through the engine it was judged against, and a record
+   the rules pass must leave the engine within its limit. *)
+
+let corpus_dir =
+  if Sys.file_exists "verify" then "verify" else Filename.concat "test" "verify"
+
+let corpus_packed conf =
+  match Config_file.parse_file (Filename.concat corpus_dir conf) with
+  | Ok (cfg, _) -> Config_file.packed cfg
+  | Error e -> failwith e
+
+let corpus_records trace =
+  match
+    In_channel.with_open_text
+      (Filename.concat corpus_dir trace)
+      Utlb_trace.Trace.load
+  with
+  | Ok t -> Array.to_list (Utlb_trace.Trace.records t)
+  | Error e -> failwith e
+
+(* A fresh engine on its own host, so the test can read the pin ledger
+   after each lookup. *)
+let engine ?sanitizer (Sim_driver.Packed ((module E), config)) =
+  let host = Host_memory.create () in
+  let e = E.create ~host ?sanitizer ~seed:7L config in
+  ( host,
+    fun ~pid ~vpn ~npages ->
+      ignore (E.lookup e ~pid:(Pid.of_int pid) ~vpn ~npages) )
+
+let unpinned_in host ~pid ~vpn ~npages =
+  List.length
+    (List.filter
+       (fun v -> not (Host_memory.is_pinned host (Pid.of_int pid) ~vpn:v))
+       (List.init npages (fun i -> vpn + i)))
+
+let aborts f =
+  match f () with () -> false | exception Invalid_argument _ -> true
+
+(* The rules' codes for one record, tracking the distinct pids seen. *)
+let admit sem seen ~pid ~vpn ~npages =
+  let known = List.mem pid !seen in
+  let vs =
+    Stepper.admission sem ~known ~distinct:(List.length !seen) ~pid
+      (Stepper.request ~vpn ~npages ())
+  in
+  if not known then seen := pid :: !seen;
+  List.map (fun (v : Stepper.violation) -> v.Stepper.code) vs
+
+(* Each seeded corpus case, replayed through the engine of its conf:
+   the last record carries the finding, and the engine shows it. *)
+let test_admission_corpus () =
+  let replay conf trace =
+    let packed = corpus_packed conf in
+    let sem = Sim_driver.stepper packed in
+    let host, lookup = engine packed in
+    let seen = ref [] in
+    let last = ref [] in
+    List.iter
+      (fun (r : Record.t) ->
+        let pid = Pid.to_int r.pid in
+        last := admit sem seen ~pid ~vpn:r.vpn ~npages:r.npages;
+        if not (List.mem "UP04" !last) then
+          lookup ~pid ~vpn:r.vpn ~npages:r.npages)
+      (corpus_records trace);
+    (host, lookup, !last)
+  in
+  let host, _, codes = replay "up01.conf" "up01.trace" in
+  Alcotest.(check (list string)) "up01 predicted" [ "UP01" ] codes;
+  Alcotest.(check int) "up01 pins 300 pages over a 256-page limit" 300
+    (Host_memory.pinned_pages host (Pid.of_int 0));
+  let host, _, codes = replay "up03.conf" "up03.trace" in
+  Alcotest.(check (list string)) "up03 predicted" [ "UP03" ] codes;
+  Alcotest.(check int) "up03 unpins 976 pages of its own span" 976
+    (unpinned_in host ~pid:0 ~vpn:0 ~npages:2000);
+  let host, lookup = engine (corpus_packed "up03.conf") in
+  lookup ~pid:0 ~vpn:0 ~npages:1024;
+  Alcotest.(check int) "a 1024-page span unpins none" 0
+    (unpinned_in host ~pid:0 ~vpn:0 ~npages:1024);
+  let _, lookup, codes = replay "up04.conf" "up04.trace" in
+  Alcotest.(check (list string)) "up04 predicted" [ "UP04" ] codes;
+  Alcotest.(check bool) "up04's third pid aborts" true
+    (aborts (fun () -> lookup ~pid:2 ~vpn:64 ~npages:4));
+  let _, lookup = engine (corpus_packed "up04.conf") in
+  Alcotest.(check bool) "a 5000-page span on a 4096-entry share aborts" true
+    (aborts (fun () -> lookup ~pid:0 ~vpn:0 ~npages:5000))
+
+(* Seeded hier and intr configs: every UP01 must leave its pid over the
+   limit after the lookup, and a pid the rules never flagged (UP01 or
+   UP05) must never end a lookup over it. *)
+let test_admission_fuzz_limits () =
+  let rng = Random.State.make [| 0xAD01 |] in
+  let predicted = ref 0 and unflagged = ref 0 in
+  for case = 1 to 600 do
+    let associativity =
+      List.nth
+        Utlb.Ni_cache.[ Direct_nohash; Direct; Two_way; Four_way ]
+        (Random.State.int rng 4)
+    in
+    let cache =
+      {
+        Utlb.Ni_cache.entries =
+          Utlb.Ni_cache.ways associativity * (1 lsl Random.State.int rng 6);
+        associativity;
+      }
+    in
+    let limit = 1 + Random.State.int rng 48 in
+    let mech =
+      if Random.State.bool rng then
+        Sim_driver.Utlb
+          {
+            Utlb.Hier_engine.default_config with
+            cache;
+            prefetch = 1 + Random.State.int rng 4;
+            prepin = 1 + Random.State.int rng 8;
+            memory_limit_pages = Some limit;
+          }
+      else
+        Sim_driver.Intr
+          { Utlb.Intr_engine.cache; memory_limit_pages = Some limit }
+    in
+    let packed = Sim_driver.pack mech in
+    let sem = Sim_driver.stepper packed in
+    let sanitizer = Sanitizer.create ~mode:Sanitizer.Record () in
+    let host, lookup = engine ~sanitizer packed in
+    let seen = ref [] and flagged = ref [] in
+    for _ = 1 to 30 do
+      let pid = Random.State.int rng 3 in
+      let npages =
+        1
+        +
+        if Random.State.int rng 4 = 0 then Random.State.int rng (2 * limit)
+        else Random.State.int rng 4
+      in
+      let vpn = Random.State.int rng 256 in
+      let codes = admit sem seen ~pid ~vpn ~npages in
+      lookup ~pid ~vpn ~npages;
+      let pinned = Host_memory.pinned_pages host (Pid.of_int pid) in
+      let tag =
+        Printf.sprintf "case %d %s: pid %d, %d pages at %#x, limit %d"
+          case (Stepper.mechanism sem) pid npages vpn limit
+      in
+      if List.mem "UP01" codes then begin
+        incr predicted;
+        if pinned <= limit then
+          Alcotest.failf "%s: UP01 predicted but %d pages pinned" tag pinned
+      end;
+      if List.mem "UP01" codes || List.mem "UP05" codes then
+        flagged := pid :: !flagged
+      else if not (List.mem pid !flagged) then begin
+        incr unflagged;
+        if pinned > limit then
+          Alcotest.failf "%s: unflagged pid ends with %d pages pinned" tag
+            pinned
+      end
+    done;
+    Alcotest.(check bool)
+      (Printf.sprintf "case %d sanitizers clean" case)
+      true
+      (Sanitizer.is_clean sanitizer)
+  done;
+  Alcotest.(check bool) "UP01 exercised" true (!predicted > 100);
+  Alcotest.(check bool) "unflagged lookups exercised" true (!unflagged > 1000)
+
+(* Seeded per-process configs: the engine aborts exactly when UP04 is
+   predicted, checked up to the first abort. *)
+let test_admission_fuzz_tables () =
+  let rng = Random.State.make [| 0xAD04 |] in
+  let aborted_cases = ref 0 in
+  for case = 1 to 400 do
+    let processes = 1 + Random.State.int rng 4 in
+    let share = 1 + Random.State.int rng 32 in
+    let packed =
+      Sim_driver.pack
+        (Sim_driver.Per_process
+           {
+             Utlb.Pp_engine.sram_budget_entries =
+               (share * processes) + Random.State.int rng processes;
+             processes;
+             policy = Utlb.Replacement.Lru;
+           })
+    in
+    let sem = Sim_driver.stepper packed in
+    let _, lookup = engine packed in
+    let seen = ref [] in
+    let rec go n =
+      if n > 0 then begin
+        let pid = Random.State.int rng (processes + 2) in
+        let npages = 1 + Random.State.int rng (share + (share / 2) + 1) in
+        let vpn = Random.State.int rng 256 in
+        let predicted = List.mem "UP04" (admit sem seen ~pid ~vpn ~npages) in
+        let aborted = aborts (fun () -> lookup ~pid ~vpn ~npages) in
+        Alcotest.(check bool)
+          (Printf.sprintf
+             "case %d: %d tables of %d, pid %d, %d pages: aborts iff UP04"
+             case processes share pid npages)
+          predicted aborted;
+        if aborted then incr aborted_cases else go (n - 1)
+      end
+    in
+    go 30
+  done;
+  Alcotest.(check bool) "aborts exercised" true (!aborted_cases > 100)
 
 (* {2 Event parsing and the timeline reader} *)
 
@@ -509,6 +735,12 @@ let suite =
     Alcotest.test_case "protocol: of_mech" `Quick test_protocol_of_mech;
     Alcotest.test_case "protocol: verify_file" `Quick test_protocol_verify_file;
     Alcotest.test_case "protocol: verify_grid" `Quick test_protocol_verify_grid;
+    Alcotest.test_case "admission: corpus breaks in the engine" `Quick
+      test_admission_corpus;
+    Alcotest.test_case "admission: hier/intr fuzz vs engines" `Quick
+      test_admission_fuzz_limits;
+    Alcotest.test_case "admission: per-process fuzz vs engine" `Quick
+      test_admission_fuzz_tables;
     Alcotest.test_case "event: of_string roundtrip" `Quick
       test_event_roundtrip;
     Alcotest.test_case "reader: sections" `Quick test_reader_sections;
