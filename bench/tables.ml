@@ -341,15 +341,14 @@ let online_replay () =
     "Online trace replay through VMMC: UTLB vs interrupt-based NI \
      (1K-entry caches, first 3000 records per workload)";
   let module Cluster = Utlb_vmmc.Cluster in
-  let cache = { Ni_cache.entries = 1024; associativity = Ni_cache.Direct } in
   let mechanisms =
-    [
-      ( "utlb",
-        Cluster.Utlb_translation { Hier_engine.default_config with cache } );
-      ( "intr",
-        Cluster.Intr_translation
-          { Intr_engine.cache; memory_limit_pages = None } );
-    ]
+    List.map
+      (fun name ->
+        ( name,
+          Result.get_ok
+            (Sim_driver.Registry.resolve ~name ~params:[ ("entries", "1024") ])
+        ))
+      [ "utlb"; "intr" ]
   in
   Printf.printf "%-10s %-6s %12s %12s %12s %12s\n" "app" "mech" "sim ms"
     "interrupts" "pins" "NI misses";

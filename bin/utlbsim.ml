@@ -230,10 +230,6 @@ let intr_arg =
     & info [ "interrupt-based" ]
         ~doc:"Simulate the interrupt-based baseline instead of UTLB.")
 
-let limit_pages = function
-  | None -> None
-  | Some mb -> Some (mb * 256) (* 4 KB pages per MB *)
-
 let print_report model prefetch mechanism_is_intr r =
   Printf.printf "workload        %s\n" r.Report.label;
   Printf.printf "lookups         %d\n" r.Report.lookups;
@@ -334,23 +330,23 @@ let run_cmd =
   in
   let run app trace_in entries assoc prefetch prepin policy limit seed intr
       sanitize trace_out trace_cap metrics_fmt faults tenants =
-    let mechanism =
+    let cache = { Ni_cache.entries; associativity = assoc } in
+    let memory_limit_pages = Option.map (fun mb -> mb * 256) limit in
+    let (Sim_driver.Packed ((module E), config) as packed) =
       if intr then
-        Sim_driver.Intr
-          {
-            Intr_engine.cache = { Ni_cache.entries; associativity = assoc };
-            memory_limit_pages = limit_pages limit;
-          }
+        Sim_driver.Packed
+          ((module Intr_engine), { Intr_engine.cache; memory_limit_pages })
       else
-        Sim_driver.Utlb
-          {
-            Hier_engine.cache = { Ni_cache.entries; associativity = assoc };
-            prefetch;
-            prepin;
-            policy;
-            memory_limit_pages = limit_pages limit;
-            backstop = Hier_engine.No_backstop;
-          }
+        Sim_driver.Packed
+          ( (module Hier_engine),
+            {
+              Hier_engine.cache;
+              prefetch;
+              prepin;
+              policy;
+              memory_limit_pages;
+              backstop = Hier_engine.No_backstop;
+            } )
     in
     let sanitizer =
       if sanitize then
@@ -374,12 +370,10 @@ let run_cmd =
              ~cost_of:Obs_cost.default ())
     in
     (* A config the engine refuses is a usage error, as in sweep. *)
-    (match Sim_driver.pack mechanism with
-    | Sim_driver.Packed ((module E), config) -> (
-      try E.validate config
-      with Invalid_argument msg ->
-        Printf.eprintf "utlbsim run: %s\n" msg;
-        exit 1));
+    (try E.validate config
+     with Invalid_argument msg ->
+       Printf.eprintf "utlbsim run: %s\n" msg;
+       exit 1);
     let faults_inj = injector_of ~seed faults in
     let tenancy = tenancy_of_spec tenants in
     let report =
@@ -392,14 +386,14 @@ let run_cmd =
         exit 1
       | None, Some app ->
         Sim_driver.run_workload ?sanitizer ?obs ?faults:faults_inj ?tenancy
-          ~seed mechanism app
+          ~seed packed app
       | Some file, None ->
         let trace, skipped =
           In_channel.with_open_text file Sim_driver.load_trace_lenient
         in
-        Sim_driver.run ?sanitizer ?obs ?faults:faults_inj ?tenancy
+        Sim_driver.run_packed ?sanitizer ?obs ?faults:faults_inj ?tenancy
           ~records_skipped:skipped ~seed ~label:(Filename.basename file)
-          mechanism trace
+          packed trace
     in
     print_report Cost_model.default prefetch intr report;
     (match faults_inj with
@@ -831,41 +825,29 @@ let synth_cmd =
       (Trace.length trace)
       (Trace.footprint_pages trace);
     let model = Cost_model.default in
+    (* The registry's defaults but the cache size, which per-process
+       tables spend as their SRAM budget. *)
+    let params =
+      [ ("entries", string_of_int entries); ("budget", string_of_int entries) ]
+    in
     List.iter
-      (fun (name, mechanism) ->
-        let r = Sim_driver.run ~seed ~label:name mechanism trace in
+      (fun name ->
+        let packed =
+          match Sim_driver.Registry.resolve ~name ~params with
+          | Ok packed -> packed
+          | Error msg -> invalid_arg msg
+        in
+        let r = Sim_driver.run_packed ~seed ~label:name packed trace in
         let cost =
-          match mechanism with
-          | Sim_driver.Intr _ -> Report.intr_cost_us model r
-          | Sim_driver.Utlb _ | Sim_driver.Per_process _ ->
-            Report.utlb_cost_us model r
+          match Sim_driver.stepper packed with
+          | Stepper.Intr _ -> Report.intr_cost_us model r
+          | Stepper.Hier _ | Stepper.Static _ -> Report.utlb_cost_us model r
         in
         Printf.printf
           "%-12s check=%.3f ni=%.3f unpins=%.3f cost=%.1fus\n" name
           (Report.check_miss_rate r) (Report.ni_miss_rate r)
           (Report.unpin_rate r) cost)
-      [
-        ( "utlb",
-          Sim_driver.Utlb
-            {
-              Hier_engine.default_config with
-              cache = { Ni_cache.entries; associativity = Ni_cache.Direct };
-            } );
-        ( "intr",
-          Sim_driver.Intr
-            {
-              Intr_engine.cache =
-                { Ni_cache.entries; associativity = Ni_cache.Direct };
-              memory_limit_pages = None;
-            } );
-        ( "per-process",
-          Sim_driver.Per_process
-            {
-              Pp_engine.sram_budget_entries = entries;
-              processes = 5;
-              policy = Replacement.Lru;
-            } );
-      ]
+      [ "utlb"; "intr"; "per-process" ]
   in
   let pattern_arg =
     Arg.(

@@ -25,14 +25,14 @@ let demo_engine () =
   let o1 = Hier_engine.lookup engine ~pid ~vpn:0x400 ~npages:4 in
   Printf.printf
     "first lookup : check_miss=%b pages_pinned=%d ni_misses=%d\n"
-    o1.Hier_engine.check_miss o1.Hier_engine.pages_pinned
-    o1.Hier_engine.ni_misses;
+    o1.Engine_intf.check_miss o1.Engine_intf.pages_pinned
+    o1.Engine_intf.ni_misses;
   (* Second use: everything hits — no system call, no interrupt. *)
   let o2 = Hier_engine.lookup engine ~pid ~vpn:0x400 ~npages:4 in
   Printf.printf
     "second lookup: check_miss=%b pages_pinned=%d ni_misses=%d\n"
-    o2.Hier_engine.check_miss o2.Hier_engine.pages_pinned
-    o2.Hier_engine.ni_misses;
+    o2.Engine_intf.check_miss o2.Engine_intf.pages_pinned
+    o2.Engine_intf.ni_misses;
   Printf.printf "pinned pages now: %d; NI cache lines: %d\n"
     (Hier_engine.pinned_pages engine pid)
     (Ni_cache.valid_lines (Hier_engine.cache engine));

@@ -124,7 +124,7 @@ let walk_fault_us model (p : Plan.t) ~walk_base =
   let active prob = prob > 0. in
   (if active p.dma_fail then
      (if p.dma_retries > 0 then
-        p.dma_backoff_us *. (Float.of_int (1 lsl p.dma_retries) -. 1.)
+        p.dma_backoff_us *. (Float.ldexp 1. p.dma_retries -. 1.)
       else 0.)
      +. Cost_model.intr_us model
      +. Cost_model.kernel_pin_us model

@@ -75,36 +75,42 @@ let default =
     faults = None;
   }
 
-let mechanism config =
-  let cache =
-    { Ni_cache.entries = config.entries; associativity = config.associativity }
-  in
-  let memory_limit_pages =
-    Option.map
-      (fun mb -> mb * 1024 * 1024 / Utlb_mem.Addr.page_size)
-      config.limit_mb
-  in
-  match config.engine with
-  | Utlb ->
-    Utlb.Sim_driver.Utlb
-      {
-        Utlb.Hier_engine.cache;
-        prefetch = config.prefetch;
-        prepin = config.prepin;
-        policy = config.policy;
-        memory_limit_pages;
-        backstop = No_backstop;
-      }
-  | Intr -> Utlb.Sim_driver.Intr { Utlb.Intr_engine.cache; memory_limit_pages }
-  | Per_process ->
-    Utlb.Sim_driver.Per_process
-      {
-        Utlb.Pp_engine.sram_budget_entries = config.sram_budget_entries;
-        processes = config.processes;
-        policy = config.policy;
-      }
+let cache config =
+  { Ni_cache.entries = config.entries; associativity = config.associativity }
 
-let packed config = Utlb.Sim_driver.pack (mechanism config)
+let memory_limit_pages config =
+  Option.map
+    (fun mb -> mb * 1024 * 1024 / Utlb_mem.Addr.page_size)
+    config.limit_mb
+
+let hier_config config =
+  {
+    Utlb.Hier_engine.cache = cache config;
+    prefetch = config.prefetch;
+    prepin = config.prepin;
+    policy = config.policy;
+    memory_limit_pages = memory_limit_pages config;
+    backstop = No_backstop;
+  }
+
+let intr_config config =
+  {
+    Utlb.Intr_engine.cache = cache config;
+    memory_limit_pages = memory_limit_pages config;
+  }
+
+let pp_config config =
+  {
+    Utlb.Pp_engine.sram_budget_entries = config.sram_budget_entries;
+    processes = config.processes;
+    policy = config.policy;
+  }
+
+let packed config : Utlb.Sim_driver.packed =
+  match config.engine with
+  | Utlb -> Packed ((module Utlb.Hier_engine), hier_config config)
+  | Intr -> Packed ((module Utlb.Intr_engine), intr_config config)
+  | Per_process -> Packed ((module Utlb.Pp_engine), pp_config config)
 
 let cost_model config =
   (* Malformed anchor lists fall back to the paper defaults here; the

@@ -59,12 +59,17 @@ type t = {
 val default : t
 (** The paper-default Hierarchical-UTLB configuration. *)
 
-val mechanism : t -> Utlb.Sim_driver.mechanism
-(** The engine configuration the file declares. *)
-
 val packed : t -> Utlb.Sim_driver.packed
-(** {!mechanism}, packed: the one map from a config file to an engine
-    that every checker uses. *)
+(** The engine the file declares, with its configuration: the one map
+    from a config file to an engine that every checker uses. *)
+
+val hier_config : t -> Utlb.Hier_engine.config
+
+val intr_config : t -> Utlb.Intr_engine.config
+
+val pp_config : t -> Utlb.Pp_engine.config
+(** The file's settings as each engine's configuration, as {!packed}
+    builds them; {!Config_lint} checks the one its [engine] names. *)
 
 val cost_model : t -> Utlb.Cost_model.t
 (** The cost model the file declares (cost tables that fail to

@@ -321,10 +321,10 @@ let lint_faults ?context spec =
 let lint_config (config : Config_file.t) =
   let context = config.source in
   let engine_findings =
-    match Config_file.mechanism config with
-    | Utlb.Sim_driver.Utlb c -> lint_hier ~context c
-    | Utlb.Sim_driver.Intr c -> lint_intr ~context c
-    | Utlb.Sim_driver.Per_process c -> lint_pp ~context c
+    match config.engine with
+    | Utlb -> lint_hier ~context (Config_file.hier_config config)
+    | Intr -> lint_intr ~context (Config_file.intr_config config)
+    | Per_process -> lint_pp ~context (Config_file.pp_config config)
   in
   let anchor_findings =
     lint_cost_anchors ~context ~name:"pin_table" config.pin_table

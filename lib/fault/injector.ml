@@ -132,10 +132,11 @@ let dma_attempts t =
   end
 
 (* Exponential backoff paid after [attempts] failed tries:
-   base * (2^attempts - 1), the classic doubling series. *)
+   base * (2^attempts - 1), the classic doubling series, in floats: an
+   int [1 lsl attempts] wraps negative from 62 attempts on. *)
 let backoff_us t ~attempts =
   if attempts <= 0 then 0.0
-  else t.plan.Plan.dma_backoff_us *. (Float.of_int (1 lsl attempts) -. 1.0)
+  else t.plan.Plan.dma_backoff_us *. (Float.ldexp 1.0 attempts -. 1.0)
 
 let note_recovery t = t.recoveries <- t.recoveries + 1
 

@@ -4,12 +4,42 @@
     ({!Hier_engine}, also registered with a backstop as
     {!Victima_engine} and {!Utopia_engine}), the interrupt-based
     baseline ({!Intr_engine}), and the Per-process tables
-    ({!Pp_engine}) — implements {!S}. The driver and the campaign layer
-    dispatch over
-    {!packed} values, so a new design (say, a two-level NI cache)
-    becomes usable by every experiment in the repo the moment it
-    satisfies the signature and registers itself with
-    {!Sim_driver.Registry}. *)
+    ({!Pp_engine}) — implements {!S}. A {!packed} value is the only way
+    to name an engine: the driver, the campaign layer, the config
+    files and the VMMC cluster all dispatch over it, so a new design
+    (say, a two-level NI cache) becomes usable by every experiment in
+    the repo the moment it satisfies the signature and registers
+    itself with {!Sim_driver.Registry}. *)
+
+type outcome = {
+  check_miss : bool;  (** The user-level check found an unpinned page. *)
+  pin_calls : int;
+  pages_pinned : int;
+  unpin_calls : int;
+  pages_unpinned : int;
+  ni_misses : int;  (** Pages the NI did not find in its cache. *)
+  entries_fetched : int;  (** Translation entries DMAed into the NI. *)
+  interrupts : int;  (** Host interrupts the NI raised. *)
+}
+(** What one lookup adds to the {!Report} counters: [check_miss] to
+    [check_misses], [ni_misses] to [ni_page_misses], every other field
+    to the counter of its name. Summed over a run, the outcomes are
+    those counters. Every engine returns this one shape, so a caller
+    such as the VMMC cluster can price any engine's lookup. *)
+
+let unchanged =
+  {
+    check_miss = false;
+    pin_calls = 0;
+    pages_pinned = 0;
+    unpin_calls = 0;
+    pages_unpinned = 0;
+    ni_misses = 0;
+    entries_fetched = 0;
+    interrupts = 0;
+  }
+(** The outcome of a lookup that changed no counter. Engines return
+    this one shared value instead of allocating a record of zeros. *)
 
 module type S = sig
   val mechanism : string
@@ -64,10 +94,6 @@ module type S = sig
   val processes : t -> Utlb_mem.Pid.t list
   (** Live (admitted, not yet removed) processes, ascending pid. *)
 
-  type outcome
-  (** Per-lookup accounting. The shape is engine-specific; drivers that
-      only need totals use {!report}. *)
-
   val lookup : t -> pid:Utlb_mem.Pid.t -> vpn:int -> npages:int -> outcome
   (** Translate one communication buffer.
       @raise Invalid_argument if [npages < 1]. *)
@@ -103,4 +129,5 @@ end
 type packed =
   | Packed : (module S with type config = 'c) * 'c -> packed
       (** A mechanism bundled with the configuration to create it —
-          the unit of dispatch for {!Sim_driver} and [lib/exp]. *)
+          the unit of dispatch for {!Sim_driver}, [lib/exp], the config
+          files and the VMMC cluster. *)

@@ -361,17 +361,6 @@ let table t pid = (proc t pid).table
 
 let pinned_pages t pid = Bitvec.population (proc t pid).pinned
 
-type outcome = {
-  check_miss : bool;
-  pages_pinned : int;
-  pin_calls : int;
-  pages_unpinned : int;
-  unpin_calls : int;
-  ni_accesses : int;
-  ni_misses : int;
-  entries_fetched : int;
-}
-
 (* Unpin one victim page: clear every layer that knows about it. The
    paper unpins "one page at a time" (Section 6.5). *)
 let unpin_one t pid p victim =
@@ -784,6 +773,7 @@ let lookup t ~pid ~vpn ~npages =
   add_process t pid;
   let p = proc t pid in
   if t.ten_active then Arbiter.note_lookup t.tenancy ~pid:(Pid.to_int pid);
+  let interrupts_before = t.table_swap_interrupts + t.fault_interrupts in
   (* 1. user-level check — a word-wise scan, no page-list allocation *)
   let check_miss = not (Bitvec.all_set p.pinned ~vpn ~count:npages) in
   let pin_calls, pages_pinned, unpin_calls, pages_unpinned =
@@ -861,14 +851,15 @@ let lookup t ~pid ~vpn ~npages =
   t.san.san_pages t pid p vpn npages;
   let outcome =
     {
-      check_miss;
-      pages_pinned;
+      Engine_intf.check_miss;
       pin_calls;
-      pages_unpinned;
+      pages_pinned;
       unpin_calls;
-      ni_accesses = npages;
+      pages_unpinned;
       ni_misses = !ni_misses;
       entries_fetched = !entries;
+      interrupts =
+        t.table_swap_interrupts + t.fault_interrupts - interrupts_before;
     }
   in
   let tot = t.totals in

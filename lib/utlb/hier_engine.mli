@@ -134,18 +134,8 @@ val table : t -> Utlb_mem.Pid.t -> Translation_table.t
 
 val pinned_pages : t -> Utlb_mem.Pid.t -> int
 
-type outcome = {
-  check_miss : bool;
-  pages_pinned : int;
-  pin_calls : int;
-  pages_unpinned : int;
-  unpin_calls : int;
-  ni_accesses : int;
-  ni_misses : int;
-  entries_fetched : int;
-}
-
-val lookup : t -> pid:Utlb_mem.Pid.t -> vpn:int -> npages:int -> outcome
+val lookup :
+  t -> pid:Utlb_mem.Pid.t -> vpn:int -> npages:int -> Engine_intf.outcome
 (** Translate one communication buffer. Unknown processes are admitted
     on first use. A RestSeg hit counts as an NI hit; a recall counts as
     an NI miss with zero entries fetched.

@@ -126,14 +126,6 @@ let remove_process t pid =
     Pid_table.remove t.procs pid;
     !released
 
-type outcome = {
-  ni_accesses : int;
-  ni_misses : int;
-  interrupts : int;
-  pages_pinned : int;
-  pages_unpinned : int;
-}
-
 let note_recovery t pid ~vpn () =
   Option.iter Injector.note_recovery t.faults;
   observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_recover;
@@ -145,23 +137,41 @@ let note_recovery t pid ~vpn () =
 
 (* One host interrupt, with the fault plane's timeout + re-issue loop:
    each re-issue costs another dispatch (counted and observed like a
-   real interrupt) and a delivery that needed one is a recovery. *)
-let issue_interrupt t pid q interrupts =
-  incr interrupts;
+   real interrupt) and a delivery that needed one is a recovery.
+   Returns the dispatches made. *)
+let issue_interrupt t pid q =
   observe t ~pid ~vpn:q ~count:Probe.no_count Ev.Interrupt;
   match t.faults with
-  | None -> ()
+  | None -> 1
   | Some inj ->
     let reissues = Injector.irq_reissues inj in
     if reissues > 0 then begin
       observe t ~pid ~vpn:q ~count:Probe.no_count Ev.Fault_inject;
       for _ = 1 to reissues do
-        incr interrupts;
         observe t ~pid ~vpn:q ~count:Probe.no_count Ev.Interrupt
       done;
       observe t ~pid ~vpn:q ~count:reissues Ev.Fault_retry;
       note_recovery t pid ~vpn:q ()
-    end
+    end;
+    1 + reissues
+
+(* Cache eviction implies unpinning the evicted page. [pid] is the
+   process whose lookup evicted it. *)
+let evict_unpin t pid (evicted_pid, evicted_vpn, _frame) =
+  if t.ten_active then begin
+    Arbiter.note_eviction t.tenancy
+      ~victim_pid:(Pid.to_int evicted_pid)
+      ~by_pid:(Pid.to_int pid);
+    Arbiter.note_unpin t.tenancy ~pid:(Pid.to_int evicted_pid) ~pages:1
+  end;
+  observe t ~pid:evicted_pid ~vpn:evicted_vpn ~count:Probe.no_count
+    Ev.Ni_evict;
+  observe t ~pid:evicted_pid ~vpn:evicted_vpn ~count:1 Ev.Unpin;
+  let ep = proc t evicted_pid in
+  Replacement.remove ep.tracker evicted_vpn;
+  Miss_classifier.note_invalidate t.classifier ~pid:evicted_pid
+    ~vpn:evicted_vpn;
+  Host_memory.unpin t.host evicted_pid ~vpn:evicted_vpn ~count:1
 
 (* Shadow check of one page: a cached translation must agree with the
    host page table and its page must still be pinned (in this design,
@@ -268,24 +278,6 @@ let lookup t ~pid ~vpn ~npages =
   let interrupts = ref 0 in
   let pinned = ref 0 in
   let unpinned = ref 0 in
-  (* Cache eviction implies unpinning the evicted page. *)
-  let evict_unpin (evicted_pid, evicted_vpn, _frame) =
-    if t.ten_active then begin
-      Arbiter.note_eviction t.tenancy
-        ~victim_pid:(Pid.to_int evicted_pid)
-        ~by_pid:(Pid.to_int pid);
-      Arbiter.note_unpin t.tenancy ~pid:(Pid.to_int evicted_pid) ~pages:1
-    end;
-    observe t ~pid:evicted_pid ~vpn:evicted_vpn ~count:Probe.no_count
-      Ev.Ni_evict;
-    observe t ~pid:evicted_pid ~vpn:evicted_vpn ~count:1 Ev.Unpin;
-    let ep = proc t evicted_pid in
-    Replacement.remove ep.tracker evicted_vpn;
-    Miss_classifier.note_invalidate t.classifier ~pid:evicted_pid
-      ~vpn:evicted_vpn;
-    Host_memory.unpin t.host evicted_pid ~vpn:evicted_vpn ~count:1;
-    incr unpinned
-  in
   for q = vpn to vpn + npages - 1 do
     (* Fault plane: a spurious invalidation may knock this page's line
        out just before the probe. The page stays pinned (cached <=>
@@ -308,13 +300,15 @@ let lookup t ~pid ~vpn ~npages =
       incr misses;
       ignore (Miss_classifier.classify t.classifier ~pid ~vpn:q);
       observe t ~pid ~vpn:q ~count:Probe.no_count Ev.Ni_miss;
-      issue_interrupt t pid q interrupts;
+      interrupts := !interrupts + issue_interrupt t pid q;
       (match Host_memory.translate t.host pid ~vpn:q with
       | None -> ()
       | Some frame ->
         (match Ni_cache.insert t.cache ~pid ~vpn:q ~frame with
         | None -> ()
-        | Some evicted -> evict_unpin evicted);
+        | Some evicted ->
+          evict_unpin t pid evicted;
+          incr unpinned);
         Replacement.touch p.tracker q);
       note_recovery t pid ~vpn:q ()
     end
@@ -332,7 +326,7 @@ let lookup t ~pid ~vpn ~npages =
       incr misses;
       ignore (Miss_classifier.classify t.classifier ~pid ~vpn:q);
       observe t ~pid ~vpn:q ~count:Probe.no_count Ev.Ni_miss;
-      issue_interrupt t pid q interrupts;
+      interrupts := !interrupts + issue_interrupt t pid q;
       (* A page past the translation table's last entry is never pinned:
          the NI reads the garbage frame for it (UP02). *)
       if q > Translation_table.max_vpn then ()
@@ -379,7 +373,9 @@ let lookup t ~pid ~vpn ~npages =
         Replacement.insert p.tracker q;
         (match Ni_cache.insert t.cache ~pid ~vpn:q ~frame:frames.(0) with
         | None -> ()
-        | Some evicted -> evict_unpin evicted);
+        | Some evicted ->
+          evict_unpin t pid evicted;
+          incr unpinned);
         (* Per-process memory limit: shrink the pinned set via LRU. *)
         (match t.config.memory_limit_pages with
         | None -> ()
@@ -405,15 +401,6 @@ let lookup t ~pid ~vpn ~npages =
           done))
   done;
   t.san.san_pages t pid p vpn npages;
-  let outcome =
-    {
-      ni_accesses = npages;
-      ni_misses = !misses;
-      interrupts = !interrupts;
-      pages_pinned = !pinned;
-      pages_unpinned = !unpinned;
-    }
-  in
   let tot = t.totals in
   t.totals <-
     {
@@ -430,7 +417,20 @@ let lookup t ~pid ~vpn ~npages =
       interrupts = tot.Report.interrupts + !interrupts;
     };
   t.probe.Probe.flush ();
-  outcome
+  if !misses = 0 && !interrupts = 0 && !pinned = 0 && !unpinned = 0 then
+    Engine_intf.unchanged
+  else
+    (* The kernel pins and unpins one page per call. *)
+    {
+      Engine_intf.check_miss = false;
+      pin_calls = !pinned;
+      pages_pinned = !pinned;
+      unpin_calls = !unpinned;
+      pages_unpinned = !unpinned;
+      ni_misses = !misses;
+      entries_fetched = 0;
+      interrupts = !interrupts;
+    }
 
 let report t ~label =
   {

@@ -68,15 +68,8 @@ val processes : t -> Utlb_mem.Pid.t list
 
 val pinned_pages : t -> Utlb_mem.Pid.t -> int
 
-type outcome = {
-  ni_accesses : int;
-  ni_misses : int;
-  interrupts : int;
-  pages_pinned : int;
-  pages_unpinned : int;
-}
-
-val lookup : t -> pid:Utlb_mem.Pid.t -> vpn:int -> npages:int -> outcome
+val lookup :
+  t -> pid:Utlb_mem.Pid.t -> vpn:int -> npages:int -> Engine_intf.outcome
 (** @raise Invalid_argument if [npages < 1]. *)
 
 val report : t -> label:string -> Report.t

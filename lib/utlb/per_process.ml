@@ -111,9 +111,7 @@ let lookup t ~vpn ~npages =
   if npages > table_entries t then
     invalid_arg "Per_process.lookup: buffer larger than translation table";
   let protect page = page >= vpn && page < vpn + npages in
-  let check_miss = ref false in
-  let pinned = ref 0 in
-  let unpinned_before = t.unpins in
+  let pins_before = t.pins and unpins_before = t.unpins in
   let indices =
     Array.init npages (fun i ->
         let page = vpn + i in
@@ -122,7 +120,6 @@ let lookup t ~vpn ~npages =
           Replacement.touch t.tracker page;
           index
         | None ->
-          check_miss := true;
           (* Capacity miss in the per-process table: evict until an
              index frees up. *)
           let ok = ref (t.free_len > 0) in
@@ -130,7 +127,6 @@ let lookup t ~vpn ~npages =
             if evict_one t ~protect then ok := t.free_len > 0
             else ok := true (* nothing evictable; install will raise *)
           done;
-          incr pinned;
           install t page)
   in
   (* Fragmentation: count maximal runs of consecutive indices. *)
@@ -138,10 +134,11 @@ let lookup t ~vpn ~npages =
   for i = 1 to npages - 1 do
     if indices.(i) <> indices.(i - 1) + 1 then incr runs
   done;
+  (* Every page the table missed was pinned (or raised). *)
   {
-    check_miss = !check_miss;
-    pages_pinned = !pinned;
-    pages_unpinned = t.unpins - unpinned_before;
+    check_miss = t.pins > pins_before;
+    pages_pinned = t.pins - pins_before;
+    pages_unpinned = t.unpins - unpins_before;
     indices;
     index_runs = !runs;
   }

@@ -156,25 +156,15 @@ let processes t =
   Pid_table.fold (fun pid _ acc -> pid :: acc) t.tables []
   |> List.sort Pid.compare
 
-type outcome = {
-  check_miss : bool;
-  pages_pinned : int;
-  pages_unpinned : int;
-}
-
 let lookup t ~pid ~vpn ~npages =
   let pp = table_for t pid in
   if t.ten_active then Arbiter.note_lookup t.tenancy ~pid:(Pid.to_int pid);
   let o = Per_process.lookup pp ~vpn ~npages in
-  let outcome =
-    {
-      check_miss = o.Per_process.check_miss;
-      pages_pinned = o.Per_process.pages_pinned;
-      pages_unpinned = o.Per_process.pages_unpinned;
-    }
-  in
-  if outcome.check_miss then
-    observe t ~pid ~vpn ~count:outcome.pages_pinned Ev.Check_miss;
+  let check_miss = o.Per_process.check_miss in
+  let pinned = o.Per_process.pages_pinned in
+  let unpinned = o.Per_process.pages_unpinned in
+  let interrupts_before = t.fault_interrupts in
+  if check_miss then observe t ~pid ~vpn ~count:pinned Ev.Check_miss;
   if t.ten_active then begin
     let ipid = Pid.to_int pid in
     (* Once installed, the NI-resident table always answers: npages
@@ -182,10 +172,8 @@ let lookup t ~pid ~vpn ~npages =
     for _ = 1 to npages do
       Arbiter.note_ni_access t.tenancy ~pid:ipid ~hit:true
     done;
-    if outcome.pages_pinned > 0 then
-      Arbiter.note_pin t.tenancy ~pid:ipid ~pages:outcome.pages_pinned;
-    if outcome.pages_unpinned > 0 then
-      Arbiter.note_unpin t.tenancy ~pid:ipid ~pages:outcome.pages_unpinned
+    if pinned > 0 then Arbiter.note_pin t.tenancy ~pid:ipid ~pages:pinned;
+    if unpinned > 0 then Arbiter.note_unpin t.tenancy ~pid:ipid ~pages:unpinned
   end;
   (* Fault plane: installing the newly pinned pages' entries into the
      NI-resident table is itself a DMA, which may fail and retry; an
@@ -193,7 +181,7 @@ let lookup t ~pid ~vpn ~npages =
      way the entries land and the lookup proceeds — graceful
      degradation, counted as a recovery. *)
   (match t.faults with
-  | Some inj when outcome.pages_pinned > 0 -> (
+  | Some inj when pinned > 0 -> (
     match Injector.dma_attempts inj with
     | Some 0 -> ()
     | Some failed ->
@@ -225,10 +213,10 @@ let lookup t ~pid ~vpn ~npages =
   if t.probe.Probe.active then begin
     (* The per-process table pins page at a time (one ioctl each), and
        a table eviction unpins its page immediately. *)
-    for _ = 1 to outcome.pages_pinned do
+    for _ = 1 to pinned do
       observe t ~pid ~vpn ~count:1 Ev.Pin
     done;
-    for _ = 1 to outcome.pages_unpinned do
+    for _ = 1 to unpinned do
       observe t ~pid ~vpn:Probe.no_vpn ~count:1 Ev.Unpin
     done;
     (* Once pinned, the NI-resident table always answers: npages hits. *)
@@ -241,16 +229,30 @@ let lookup t ~pid ~vpn ~npages =
     {
       tot with
       Report.lookups = tot.Report.lookups + 1;
-      check_misses =
-        (tot.Report.check_misses + if outcome.check_miss then 1 else 0);
+      check_misses = (tot.Report.check_misses + if check_miss then 1 else 0);
       ni_page_accesses = tot.Report.ni_page_accesses + npages;
-      pin_calls = tot.Report.pin_calls + outcome.pages_pinned;
-      pages_pinned = tot.Report.pages_pinned + outcome.pages_pinned;
-      unpin_calls = tot.Report.unpin_calls + outcome.pages_unpinned;
-      pages_unpinned = tot.Report.pages_unpinned + outcome.pages_unpinned;
+      pin_calls = tot.Report.pin_calls + pinned;
+      pages_pinned = tot.Report.pages_pinned + pinned;
+      unpin_calls = tot.Report.unpin_calls + unpinned;
+      pages_unpinned = tot.Report.pages_unpinned + unpinned;
     };
   t.probe.Probe.flush ();
-  outcome
+  let interrupts = t.fault_interrupts - interrupts_before in
+  if (not check_miss) && pinned = 0 && unpinned = 0 && interrupts = 0 then
+    Engine_intf.unchanged
+  else
+    (* The table pins and unpins one page per call; the NI never
+       misses. *)
+    {
+      Engine_intf.check_miss;
+      pin_calls = pinned;
+      pages_pinned = pinned;
+      unpin_calls = unpinned;
+      pages_unpinned = unpinned;
+      ni_misses = 0;
+      entries_fetched = 0;
+      interrupts;
+    }
 
 let report t ~label =
   {

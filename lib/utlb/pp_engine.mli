@@ -73,13 +73,8 @@ val remove_process : t -> Utlb_mem.Pid.t -> int
 val processes : t -> Utlb_mem.Pid.t list
 (** Live processes, ascending pid. *)
 
-type outcome = {
-  check_miss : bool;
-  pages_pinned : int;
-  pages_unpinned : int;
-}
-
-val lookup : t -> pid:Utlb_mem.Pid.t -> vpn:int -> npages:int -> outcome
+val lookup :
+  t -> pid:Utlb_mem.Pid.t -> vpn:int -> npages:int -> Engine_intf.outcome
 (** Processes are admitted on first use, up to [config.processes].
     @raise Invalid_argument if more processes appear than tables. *)
 

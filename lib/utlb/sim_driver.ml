@@ -2,18 +2,8 @@ module Trace = Utlb_trace.Trace
 module Record = Utlb_trace.Record
 module Workloads = Utlb_trace.Workloads
 
-type mechanism =
-  | Utlb of Hier_engine.config
-  | Intr of Intr_engine.config
-  | Per_process of Pp_engine.config
-
 type packed = Engine_intf.packed =
   | Packed : (module Engine_intf.S with type config = 'c) * 'c -> packed
-
-let pack = function
-  | Utlb config -> Packed ((module Hier_engine), config)
-  | Intr config -> Packed ((module Intr_engine), config)
-  | Per_process config -> Packed ((module Pp_engine), config)
 
 let mechanism_name (Packed ((module E), _)) = E.mechanism
 
@@ -60,35 +50,12 @@ let run_packed ?(seed = default_seed) ?sanitizer ?obs ?faults ?tenancy
       Report.records_skipped = report.Report.records_skipped + records_skipped;
     }
 
-let run ?seed ?sanitizer ?obs ?faults ?tenancy ?records_skipped ?label
-    mechanism trace =
-  run_packed ?seed ?sanitizer ?obs ?faults ?tenancy ?records_skipped ?label
-    (pack mechanism) trace
-
-let run_workload ?seed ?sanitizer ?obs ?faults ?tenancy mechanism
+let run_workload ?seed ?sanitizer ?obs ?faults ?tenancy packed
     (spec : Workloads.spec) =
   let seed = Option.value ~default:default_seed seed in
   let trace = spec.Workloads.generate ~seed in
-  run ~seed ?sanitizer ?obs ?faults ?tenancy ~label:spec.Workloads.name
-    mechanism trace
-
-let compare_mechanisms ?(seed = default_seed) ~cache_entries
-    ~memory_limit_pages (spec : Workloads.spec) =
-  let cache =
-    { Ni_cache.entries = cache_entries; associativity = Ni_cache.Direct }
-  in
-  let trace = spec.Workloads.generate ~seed in
-  let utlb =
-    run ~seed ~label:(spec.Workloads.name ^ "/utlb")
-      (Utlb { Hier_engine.default_config with cache; memory_limit_pages })
-      trace
-  in
-  let intr =
-    run ~seed ~label:(spec.Workloads.name ^ "/intr")
-      (Intr { Intr_engine.cache; memory_limit_pages })
-      trace
-  in
-  (utlb, intr)
+  run_packed ~seed ?sanitizer ?obs ?faults ?tenancy ~label:spec.Workloads.name
+    packed trace
 
 (* ------------------------------------------------------------------ *)
 (* Mechanism registry                                                  *)

@@ -4,26 +4,17 @@
     accumulated {!Report.t}. This is the engine behind every row of
     Tables 4, 5, 7, 8 and both figures.
 
-    Dispatch is over {!Engine_intf.packed} first-class modules: the
-    closed {!mechanism} variant survives as sugar for the three built-in
-    designs, but any module satisfying {!Engine_intf.S} runs through
-    {!run_packed} — and, once registered with {!Registry}, through every
-    campaign grid, [utlbsim sweep] invocation, and bench table without
-    touching this driver. *)
-
-type mechanism =
-  | Utlb of Hier_engine.config
-      (** Hierarchical-UTLB with a Shared UTLB-Cache. *)
-  | Intr of Intr_engine.config  (** Interrupt-based baseline. *)
-  | Per_process of Pp_engine.config
-      (** Per-process UTLB tables carved from a fixed SRAM budget. *)
+    Dispatch is over {!Engine_intf.packed} first-class modules, the only
+    way to name an engine: any module satisfying {!Engine_intf.S} runs
+    through {!run_packed} — and, once registered with {!Registry},
+    through every campaign grid, [utlbsim sweep] invocation, bench
+    table and VMMC cluster without touching this driver. Build a
+    [packed] value directly ([Packed ((module Hier_engine), config)])
+    or from a mechanism spec with {!Registry.resolve}. *)
 
 type packed = Engine_intf.packed =
   | Packed : (module Engine_intf.S with type config = 'c) * 'c -> packed
       (** An engine module bundled with a configuration to create it. *)
-
-val pack : mechanism -> packed
-(** The built-in mechanisms as packed modules. *)
 
 val mechanism_name : packed -> string
 (** The packed engine's stable name (["utlb"], ["intr"], ...). *)
@@ -67,39 +58,18 @@ val run_packed :
     {!load_trace_lenient}) is added to the report's
     [records_skipped]. *)
 
-val run :
-  ?seed:int64 ->
-  ?sanitizer:Utlb_sim.Sanitizer.t ->
-  ?obs:Utlb_obs.Scope.t ->
-  ?faults:Utlb_fault.Injector.t ->
-  ?tenancy:Utlb_tenant.Arbiter.t ->
-  ?records_skipped:int ->
-  ?label:string ->
-  mechanism ->
-  Utlb_trace.Trace.t ->
-  Report.t
-(** [run mechanism trace] is [run_packed] over [pack mechanism]. *)
-
 val run_workload :
   ?seed:int64 ->
   ?sanitizer:Utlb_sim.Sanitizer.t ->
   ?obs:Utlb_obs.Scope.t ->
   ?faults:Utlb_fault.Injector.t ->
   ?tenancy:Utlb_tenant.Arbiter.t ->
-  mechanism ->
+  packed ->
   Utlb_trace.Workloads.spec ->
   Report.t
-(** Generate the workload's trace (from the same seed) and replay it;
-    the report is labelled with the workload name. *)
-
-val compare_mechanisms :
-  ?seed:int64 ->
-  cache_entries:int ->
-  memory_limit_pages:int option ->
-  Utlb_trace.Workloads.spec ->
-  Report.t * Report.t
-(** The Table 4/5 pairing: (UTLB, Intr) on identical direct-mapped
-    offset caches, no prefetch, no pre-pin, LRU. *)
+(** Generate the workload's trace (from the same seed) and replay it
+    with {!run_packed}; the report is labelled with the workload
+    name. *)
 
 (** Registry of translation mechanisms by name.
 

@@ -13,18 +13,13 @@ module Demux = Utlb_net.Demux
 module Channel = Utlb_net.Channel
 module Link = Utlb_net.Link
 module Hier_engine = Utlb.Hier_engine
-module Intr_engine = Utlb.Intr_engine
+module Engine_intf = Utlb.Engine_intf
+module Stepper = Utlb.Stepper
 module Cost_model = Utlb.Cost_model
 
 let log_src = Logs.Src.create "utlb.vmmc" ~doc:"VMMC cluster"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
-
-(* Which address-translation mechanism every NI in the cluster runs. *)
-type translation =
-  | Utlb_translation of Hier_engine.config
-  | Intr_translation of Intr_engine.config
-  | Per_process_translation of Utlb.Pp_engine.config
 
 type topology =
   | Star of int
@@ -33,7 +28,7 @@ type topology =
 type config = {
   topology : topology;
   seed : int64;
-  translation : translation;
+  translation : Utlb.Sim_driver.packed;
   faults : Link.fault_model;
   channel_window : int;
   command_slots : int;
@@ -43,7 +38,8 @@ let default_config =
   {
     topology = Star 4;
     seed = 0x564D4D43L; (* "VMMC" *)
-    translation = Utlb_translation Hier_engine.default_config;
+    translation =
+      Utlb.Sim_driver.Packed ((module Hier_engine), Hier_engine.default_config);
     faults = Link.no_faults;
     channel_window = 16;
     command_slots = 64;
@@ -84,10 +80,9 @@ type fetch_waiter = {
   w_on_complete : (unit -> unit) option;
 }
 
+(* The engine one node runs, created from [config.translation]. *)
 type translator =
-  | Hier of Hier_engine.t
-  | Interrupt_based of Intr_engine.t
-  | Per_process_tables of Utlb.Pp_engine.t
+  | Translator : (module Engine_intf.S with type t = 'e) * 'e -> translator
 
 type node_rt = {
   id : int;
@@ -127,6 +122,8 @@ and cluster = {
   demux : Demux.t;
   node_rts : node_rt array;
   model : Cost_model.t;
+  semantics : Stepper.semantics;  (* Picks [translate_pages]' prices. *)
+  prefetch : int;  (* Entries one NI miss fetches. *)
   mutable next_pid : int;
   mutable sends_completed : int;
   mutable fetches_completed : int;
@@ -149,20 +146,12 @@ let node_count t = Array.length t.node_rts
 
 let now_us t = Time.to_us (Engine.now t.engine)
 
-let utlb_engine t ~node =
-  match t.node_rts.(node).translator with
-  | Hier engine -> engine
-  | Interrupt_based _ | Per_process_tables _ ->
-    invalid_arg "Cluster.utlb_engine: node does not run the Hierarchical-UTLB"
-
 let nic t ~node = t.node_rts.(node).nic
 
 let utlb_report t ~node =
-  let label = Printf.sprintf "vmmc-node%d" node in
   match t.node_rts.(node).translator with
-  | Hier engine -> Hier_engine.report engine ~label
-  | Interrupt_based engine -> Intr_engine.report engine ~label
-  | Per_process_tables engine -> Utlb.Pp_engine.report engine ~label
+  | Translator ((module E), engine) ->
+    E.report engine ~label:(Printf.sprintf "vmmc-node%d" node)
 
 let sends_completed t = t.sends_completed
 
@@ -209,65 +198,60 @@ let pages_of ~vaddr ~len =
   let npages = Addr.pages_spanned (Addr.Vaddr.of_int vaddr) ~bytes:len in
   (vpn, max 1 npages)
 
-(* One translation through whichever mechanism the node runs, reduced
-   to (host-side cost, NI-side cost) in microseconds.
+(* One translation through the node's engine, reduced to (host-side
+   cost, NI-side cost) in microseconds, priced by the engine's pin
+   protocol.
 
    UTLB charges the user-level check/pin/unpin on the host and cheap
    DMA refills on the NI. The interrupt-based baseline charges nothing
    on the host (there is no user-level state) but every NI miss costs an
    interrupt dispatch plus a kernel pin, and every eviction a kernel
-   unpin — the Section 6.2 cost structure, now applied end to end. *)
+   unpin — the Section 6.2 cost structure, now applied end to end.
+   Per-process tables charge UTLB's host side and a direct table read
+   per page on the NI. *)
 type translation_cost = { host_us : float; ni_us : float; ni_misses : int }
 
 let translate_pages t rt ~pid ~vpn ~npages =
   let model = t.model in
-  match rt.translator with
-  | Hier engine ->
-    let o = Hier_engine.lookup engine ~pid ~vpn ~npages in
-    let prefetch =
-      match t.config.translation with
-      | Utlb_translation c -> c.Hier_engine.prefetch
-      | Intr_translation _ | Per_process_translation _ -> 1
-    in
+  let (o : Engine_intf.outcome) =
+    match rt.translator with
+    | Translator ((module E), engine) -> E.lookup engine ~pid ~vpn ~npages
+  in
+  match t.semantics with
+  | Stepper.Hier _ ->
     let pin =
-      if o.Hier_engine.pages_pinned > 0 then
-        Cost_model.pin_us model ~pages:o.Hier_engine.pages_pinned
+      if o.pages_pinned > 0 then Cost_model.pin_us model ~pages:o.pages_pinned
       else 0.0
     in
     let unpin =
-      Cost_model.unpin_us model ~pages:1
-      *. float_of_int o.Hier_engine.pages_unpinned
+      Cost_model.unpin_us model ~pages:1 *. float_of_int o.pages_unpinned
     in
     {
       host_us = Cost_model.user_check_us model +. pin +. unpin;
       ni_us =
         (Cost_model.ni_hit_us model *. float_of_int npages)
-        +. Cost_model.ni_miss_us model ~entries:prefetch
-           *. float_of_int o.Hier_engine.ni_misses;
-      ni_misses = o.Hier_engine.ni_misses;
+        +. Cost_model.ni_miss_us model ~entries:t.prefetch
+           *. float_of_int o.ni_misses;
+      ni_misses = o.ni_misses;
     }
-  | Interrupt_based engine ->
-    let o = Intr_engine.lookup engine ~pid ~vpn ~npages in
+  | Stepper.Intr _ ->
     {
       host_us = 0.0;
       ni_us =
         (Cost_model.ni_hit_us model *. float_of_int npages)
         +. (Cost_model.intr_us model +. Cost_model.kernel_pin_us model)
-           *. float_of_int o.Intr_engine.interrupts
+           *. float_of_int o.interrupts
         +. Cost_model.kernel_unpin_us model
-           *. float_of_int o.Intr_engine.pages_unpinned;
-      ni_misses = o.Intr_engine.ni_misses;
+           *. float_of_int o.pages_unpinned;
+      ni_misses = o.ni_misses;
     }
-  | Per_process_tables engine ->
-    let o = Utlb.Pp_engine.lookup engine ~pid ~vpn ~npages in
+  | Stepper.Static _ ->
     let pin =
-      if o.Utlb.Pp_engine.pages_pinned > 0 then
-        Cost_model.pin_us model ~pages:o.Utlb.Pp_engine.pages_pinned
+      if o.pages_pinned > 0 then Cost_model.pin_us model ~pages:o.pages_pinned
       else 0.0
     in
     let unpin =
-      Cost_model.unpin_us model ~pages:1
-      *. float_of_int o.Utlb.Pp_engine.pages_unpinned
+      Cost_model.unpin_us model ~pages:1 *. float_of_int o.pages_unpinned
     in
     {
       host_us = Cost_model.user_check_us model +. pin +. unpin;
@@ -487,25 +471,20 @@ let create ?(config = default_config) () =
         ~switches ~hosts_per_switch engine
   in
   let demux = Demux.create fabric in
+  let (Utlb.Sim_driver.Packed ((module E), engine_config)) =
+    config.translation
+  in
   let node_rts =
     Array.init (Fabric.nodes fabric) (fun id ->
         let nic = Nic.create ~node:id engine in
         let host = Utlb_mem.Host_memory.create () in
-        let translator =
-          match config.translation with
-          | Utlb_translation c ->
-            Hier (Hier_engine.create ~host ~seed:(Rng.next_int64 rng) c)
-          | Intr_translation c ->
-            Interrupt_based
-              (Intr_engine.create ~host ~seed:(Rng.next_int64 rng) c)
-          | Per_process_translation c ->
-            Per_process_tables
-              (Utlb.Pp_engine.create ~host ~seed:(Rng.next_int64 rng) c)
-        in
         {
           id;
           nic;
-          translator;
+          translator =
+            Translator
+              ( (module E),
+                E.create ~host ~seed:(Rng.next_int64 rng) engine_config );
           exports = Hashtbl.create 32;
           waiters = Hashtbl.create 32;
           next_export = 1;
@@ -523,6 +502,8 @@ let create ?(config = default_config) () =
       demux;
       node_rts;
       model = Cost_model.default;
+      semantics = E.stepper engine_config;
+      prefetch = (E.cost_paths engine_config ~npages:1).Stepper.Cost.prefetch;
       next_pid = 0;
       sends_completed = 0;
       fetches_completed = 0;
@@ -549,11 +530,9 @@ let spawn t ~node =
     invalid_arg "Cluster.spawn: bad node";
   let rt = t.node_rts.(node) in
   let pid = Pid.of_int t.next_pid in
-  t.next_pid <- t.next_pid + 1;
   (match rt.translator with
-  | Hier engine -> Hier_engine.add_process engine pid
-  | Interrupt_based engine -> Intr_engine.add_process engine pid
-  | Per_process_tables _ -> () (* tables allocate on first lookup *));
+  | Translator ((module E), engine) -> E.add_process engine pid);
+  t.next_pid <- t.next_pid + 1;
   let ring =
     Nic.new_command_queue rt.nic ~pid ~slots:t.config.command_slots
   in
@@ -580,9 +559,7 @@ let kill_process (_ : t) proc =
     Hashtbl.remove rt.procs (Pid.to_int proc.pid);
     let released =
       match rt.translator with
-      | Hier engine -> Hier_engine.remove_process engine proc.pid
-      | Interrupt_based engine -> Intr_engine.remove_process engine proc.pid
-      | Per_process_tables _ -> 0
+      | Translator ((module E), engine) -> E.remove_process engine proc.pid
     in
     Log.debug (fun m ->
         m "node%d: %a exited, %d exports revoked, %d pages released" rt.id

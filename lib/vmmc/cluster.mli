@@ -3,8 +3,13 @@
     This is the end-to-end integration the paper built UTLB for: a
     cluster of nodes, each with a NIC (SRAM, DMA, firmware), connected
     by a Myrinet-class fabric with reliable link-level channels, running
-    VMMC with Hierarchical-UTLB address translation on both the send and
-    receive sides.
+    VMMC with address translation on both the send and receive sides.
+    Every node runs the engine [config.translation] names: by default
+    the Hierarchical-UTLB, but any registered engine (the
+    interrupt-based baseline, per-process tables, the Victima and
+    Utopia backstops) runs the same VMMC stack, so the Table 4/6
+    comparison runs end to end instead of analytically. Each lookup is
+    priced by the engine's pin protocol ({!Utlb.Stepper.semantics}).
 
     The model implements the VMMC operations of Section 4.1:
     - {e export}/{e import} of receive buffers with permission keys;
@@ -29,18 +34,6 @@ type t
 
 type process
 
-type translation =
-  | Utlb_translation of Utlb.Hier_engine.config
-      (** Hierarchical-UTLB on every NI (the paper's system). *)
-  | Intr_translation of Utlb.Intr_engine.config
-      (** The interrupt-based baseline on every NI: each translation
-          miss interrupts the host, each cache eviction unpins. Lets the
-          Table 4/6 comparison run end-to-end instead of analytically. *)
-  | Per_process_translation of Utlb.Pp_engine.config
-      (** Per-process UTLB tables in NI SRAM (the paper's Section 3.1
-          design): no NI cache misses, but static table capacity forces
-          unpins. *)
-
 type topology =
   | Star of int  (** [Star n]: n hosts around one switch. *)
   | Chain of { switches : int; hosts_per_switch : int }
@@ -49,7 +42,9 @@ type topology =
 type config = {
   topology : topology;
   seed : int64;
-  translation : translation;
+  translation : Utlb.Sim_driver.packed;
+      (** The engine every NI runs, e.g. from
+          {!Utlb.Sim_driver.Registry.resolve}. *)
   faults : Utlb_net.Link.fault_model;
   channel_window : int;
   command_slots : int;  (** Per-process command ring capacity. *)
@@ -59,6 +54,7 @@ val default_config : config
 (** 4 nodes, the paper's UTLB defaults, a fault-free fabric. *)
 
 val create : ?config:config -> unit -> t
+(** @raise Invalid_argument when the engine refuses its config. *)
 
 val engine : t -> Utlb_sim.Engine.t
 
@@ -66,14 +62,16 @@ val node_count : t -> int
 
 val spawn : t -> node:int -> process
 (** Register a new process on a node: allocates its pid, command ring
-    in NIC SRAM, and UTLB state. *)
+    in NIC SRAM, and translation state.
+    @raise Invalid_argument when the node's engine admits no more
+    processes (per-process tables, one per process, all taken). *)
 
 val kill_process : t -> process -> int
 (** Process exit in a multiprogramming environment: revoke the
-    process's exports, drop its Shared UTLB-Cache lines, and unpin every
-    page it still holds. Returns the number of pages released. In-flight
-    transfers addressed to its exports fall onto the garbage page.
-    Idempotent (a second kill releases 0). *)
+    process's exports, drop its translation state (NI cache lines,
+    tables), and unpin every page it still holds. Returns the number of
+    pages released. In-flight transfers addressed to its exports fall
+    onto the garbage page. Idempotent (a second kill releases 0). *)
 
 val run : ?until_us:float -> t -> unit
 (** Drive the event engine until it drains (all communication and
@@ -81,13 +79,10 @@ val run : ?until_us:float -> t -> unit
 
 val now_us : t -> float
 
-val utlb_engine : t -> node:int -> Utlb.Hier_engine.t
-(** @raise Invalid_argument when the cluster runs the interrupt-based
-    baseline (use {!utlb_report}, which works for both). *)
-
 val nic : t -> node:int -> Utlb_nic.Nic.t
 
 val utlb_report : t -> node:int -> Utlb.Report.t
+(** The node's engine counters, labelled ["vmmc-nodeN"]. *)
 
 (** {2 Cluster-wide statistics} *)
 

@@ -83,12 +83,17 @@ let test_workload_hit_bound_matches_cache () =
   let h = Analysis.reuse_distances trace in
   let bound = Analysis.hit_ratio_at h ~entries:4096 in
   let r =
-    Utlb.Sim_driver.run ~seed:42L
-      (Utlb.Sim_driver.Utlb
-         {
-           Utlb.Hier_engine.default_config with
-           cache = { Utlb.Ni_cache.entries = 4096; associativity = Utlb.Ni_cache.Direct };
-         })
+    Utlb.Sim_driver.run_packed ~seed:42L
+      (Utlb.Sim_driver.Packed
+         ( (module Utlb.Hier_engine),
+           {
+             Utlb.Hier_engine.default_config with
+             cache =
+               {
+                 Utlb.Ni_cache.entries = 4096;
+                 associativity = Utlb.Ni_cache.Direct;
+               };
+           } ))
       trace
   in
   let measured_hit =

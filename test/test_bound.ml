@@ -304,6 +304,32 @@ let test_mutant_up41 () =
   Alcotest.(check bool) "fault surcharge priced in" true
     (b.Bound.fault_us > 0.)
 
+(* The backoff chain doubles per retry, so a larger retry budget never
+   reads as cheaper: at 62 retries and more an int 2^n used to wrap and
+   certify the hit path. *)
+let test_retry_surcharge_grows () =
+  let bound retries =
+    Bound.analyze ~model
+      ~faults:
+        {
+          Utlb_fault.Plan.empty with
+          Utlb_fault.Plan.dma_fail = 0.1;
+          dma_retries = retries;
+          dma_backoff_us = 1.;
+        }
+      utlb_packed
+  in
+  let prev = ref 0. in
+  for retries = 0 to 200 do
+    let b = bound retries in
+    if b.Bound.fault_us < !prev then
+      Alcotest.failf "%d retries: surcharge fell to %g us" retries
+        b.Bound.fault_us;
+    prev := b.Bound.fault_us;
+    if retries >= 20 && not (has_code "UP41" b.Bound.findings) then
+      Alcotest.failf "%d retries: no UP41" retries
+  done
+
 let test_mutant_up42 () =
   let tenants =
     match Utlb_tenant.Tenant.of_string "shared/starved=0-1:quota=2/fat=2-7" with
@@ -396,6 +422,8 @@ let suite =
       test_tenant_bounds;
     Alcotest.test_case "UP40 SLO gate fires" `Quick test_mutant_up40;
     Alcotest.test_case "UP41 retry ceiling fires" `Quick test_mutant_up41;
+    Alcotest.test_case "retry surcharge grows with the budget" `Quick
+      test_retry_surcharge_grows;
     Alcotest.test_case "UP42 starvation fires" `Quick test_mutant_up42;
     Alcotest.test_case "UP43/UP44 geometry findings" `Quick test_up43_up44;
     Alcotest.test_case "pinned witness confirms all engines" `Quick

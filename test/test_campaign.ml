@@ -161,19 +161,24 @@ let test_packed_path_matches_direct () =
     (drive
        (fun () -> Hier_engine.create ~seed hier_config)
        Hier_engine.lookup Hier_engine.run_invariants Hier_engine.report)
-    (Sim_driver.run ~seed ~label:"direct" (Sim_driver.Utlb hier_config) trace);
+    (Sim_driver.run_packed ~seed ~label:"direct"
+       (Sim_driver.Packed ((module Hier_engine), hier_config))
+       trace);
   let intr_config = { Intr_engine.cache; memory_limit_pages = None } in
   Alcotest.check reports_equal "intr engine"
     (drive
        (fun () -> Intr_engine.create ~seed intr_config)
        Intr_engine.lookup Intr_engine.run_invariants Intr_engine.report)
-    (Sim_driver.run ~seed ~label:"direct" (Sim_driver.Intr intr_config) trace);
+    (Sim_driver.run_packed ~seed ~label:"direct"
+       (Sim_driver.Packed ((module Intr_engine), intr_config))
+       trace);
   let pp_config = Pp_engine.default_config in
   Alcotest.check reports_equal "per-process engine"
     (drive
        (fun () -> Pp_engine.create ~seed pp_config)
        Pp_engine.lookup Pp_engine.run_invariants Pp_engine.report)
-    (Sim_driver.run ~seed ~label:"direct" (Sim_driver.Per_process pp_config)
+    (Sim_driver.run_packed ~seed ~label:"direct"
+       (Sim_driver.Packed ((module Pp_engine), pp_config))
        trace)
 
 let test_registry_params_match_variants () =
@@ -188,15 +193,16 @@ let test_registry_params_match_variants () =
   in
   let cache = { Ni_cache.entries = 2048; associativity = Ni_cache.Two_way } in
   Alcotest.check reports_equal "utlb params"
-    (Sim_driver.run ~seed ~label:"m"
-       (Sim_driver.Utlb
-          {
-            Hier_engine.default_config with
-            cache;
-            prefetch = 4;
-            prepin = 4;
-            memory_limit_pages = Some 1024;
-          })
+    (Sim_driver.run_packed ~seed ~label:"m"
+       (Sim_driver.Packed
+          ( (module Hier_engine),
+            {
+              Hier_engine.default_config with
+              cache;
+              prefetch = 4;
+              prepin = 4;
+              memory_limit_pages = Some 1024;
+            } ))
        trace)
     (via_registry "utlb"
        [
@@ -205,11 +211,100 @@ let test_registry_params_match_variants () =
        ]);
   (* Unknown keys are ignored so shared grid axes stay usable. *)
   Alcotest.check reports_equal "intr ignores foreign axes"
-    (Sim_driver.run ~seed ~label:"m"
-       (Sim_driver.Intr { Intr_engine.cache; memory_limit_pages = None })
+    (Sim_driver.run_packed ~seed ~label:"m"
+       (Sim_driver.Packed
+          ( (module Intr_engine),
+            { Intr_engine.cache; memory_limit_pages = None } ))
        trace)
     (via_registry "intr"
        [ ("entries", "2048"); ("assoc", "2-way"); ("prefetch", "4") ])
+
+(* A lookup's outcome is what it adds to the report: summed over a run,
+   the outcomes are the report's counters, on every engine, with and
+   without a fault plan and a tenant quota. Small caches and a pin
+   limit make evictions and unpins happen; quarter-size workloads keep
+   the 140 runs quick. *)
+let test_outcomes_sum_to_report () =
+  let plan =
+    match
+      Utlb_fault.Plan.of_string
+        "dma-fail=0.3,dma-retries=1,cache-invalidate=0.1,table-swap=0.05,\
+         irq-timeout=0.3"
+    with
+    | Ok plan -> plan
+    | Error msg -> Alcotest.fail msg
+  in
+  let quota =
+    match Utlb_tenant.Tenant.of_string "shared/all=0-4:quota=24" with
+    | Ok (Some config) -> config
+    | Ok None | Error _ -> Alcotest.fail "tenant spec"
+  in
+  let params =
+    [
+      ("entries", "256"); ("prefetch", "4"); ("limit-mb", "1");
+      ("budget", "1280"); ("victim-entries", "512"); ("rest-sets", "64");
+    ]
+  in
+  let total = Array.make 8 0 in
+  List.iter
+    (fun name ->
+      let (Sim_driver.Packed ((module E), config)) =
+        match Sim_driver.Registry.resolve ~name ~params with
+        | Ok packed -> packed
+        | Error msg -> Alcotest.fail msg
+      in
+      List.iter
+        (fun (spec : Workloads.spec) ->
+          let trace =
+            (Workloads.scaled spec ~factor:0.25).Workloads.generate ~seed
+          in
+          List.iter
+            (fun (faulty, tenanted) ->
+              let engine =
+                E.create ~seed
+                  ?faults:
+                    (if faulty then Some (Utlb_fault.Injector.create ~seed plan)
+                     else None)
+                  ?tenancy:
+                    (if tenanted then Some (Utlb_tenant.Arbiter.create quota)
+                     else None)
+                  config
+              in
+              let sum = Array.make 8 0 in
+              let add i n = sum.(i) <- sum.(i) + n in
+              Trace.iter trace (fun (r : Record.t) ->
+                  let o =
+                    E.lookup engine ~pid:r.pid ~vpn:r.vpn ~npages:r.npages
+                  in
+                  add 0 (Bool.to_int o.Engine_intf.check_miss);
+                  add 1 o.Engine_intf.pin_calls;
+                  add 2 o.Engine_intf.pages_pinned;
+                  add 3 o.Engine_intf.unpin_calls;
+                  add 4 o.Engine_intf.pages_unpinned;
+                  add 5 o.Engine_intf.ni_misses;
+                  add 6 o.Engine_intf.entries_fetched;
+                  add 7 o.Engine_intf.interrupts);
+              Array.iteri (fun i n -> total.(i) <- total.(i) + n) sum;
+              let r = E.report engine ~label:"sum" in
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s %s%s%s" name spec.Workloads.name
+                   (if faulty then " faults" else "")
+                   (if tenanted then " quota" else ""))
+                Report.
+                  [
+                    r.check_misses; r.pin_calls; r.pages_pinned;
+                    r.unpin_calls; r.pages_unpinned; r.ni_page_misses;
+                    r.entries_fetched; r.interrupts;
+                  ]
+                (Array.to_list sum))
+            [ (false, false); (true, false); (false, true); (true, true) ])
+        Workloads.all)
+    [ "utlb"; "victima"; "utopia"; "intr"; "per-process" ];
+  Array.iteri
+    (fun i n ->
+      Alcotest.(check bool) (Printf.sprintf "counter %d exercised" i) true
+        (n > 0))
+    total
 
 (* --- Runner -------------------------------------------------------- *)
 
@@ -307,6 +402,8 @@ let suite =
       test_packed_path_matches_direct;
     Alcotest.test_case "registry params = variants" `Quick
       test_registry_params_match_variants;
+    Alcotest.test_case "lookup outcomes sum to the report" `Quick
+      test_outcomes_sum_to_report;
     Alcotest.test_case "parallel byte-identical" `Quick
       test_parallel_byte_identical;
     Alcotest.test_case "runner labels and order" `Quick

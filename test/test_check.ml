@@ -291,9 +291,12 @@ let test_sanitizer_describe () =
 
 let mechanisms =
   [
-    ("utlb", Sim_driver.Utlb Hier_engine.default_config);
-    ("intr", Sim_driver.Intr Intr_engine.default_config);
-    ("per-process", Sim_driver.Per_process Pp_engine.default_config);
+    ( "utlb",
+      Sim_driver.Packed ((module Hier_engine), Hier_engine.default_config) );
+    ( "intr",
+      Sim_driver.Packed ((module Intr_engine), Intr_engine.default_config) );
+    ( "per-process",
+      Sim_driver.Packed ((module Pp_engine), Pp_engine.default_config) );
   ]
 
 let test_golden_workloads () =
@@ -313,16 +316,18 @@ let test_golden_limited_memory () =
   let mechanisms =
     [
       ("utlb",
-       Sim_driver.Utlb
-         {
-           Hier_engine.default_config with
-           memory_limit_pages = Some 256;
-           prepin = 4;
-           prefetch = 4;
-         });
+       Sim_driver.Packed
+         ( (module Hier_engine),
+           {
+             Hier_engine.default_config with
+             memory_limit_pages = Some 256;
+             prepin = 4;
+             prefetch = 4;
+           } ));
       ("intr",
-       Sim_driver.Intr
-         { Intr_engine.default_config with memory_limit_pages = Some 256 });
+       Sim_driver.Packed
+         ( (module Intr_engine),
+           { Intr_engine.default_config with memory_limit_pages = Some 256 } ));
     ]
   in
   List.iter

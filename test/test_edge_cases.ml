@@ -15,7 +15,7 @@ let test_request_larger_than_limit () =
   in
   let e = Hier_engine.create ~seed:1L config in
   let o = Hier_engine.lookup e ~pid:pid0 ~vpn:0 ~npages:6 in
-  Alcotest.(check int) "entire request pinned" 6 o.Hier_engine.pages_pinned;
+  Alcotest.(check int) "entire request pinned" 6 o.Engine_intf.pages_pinned;
   (* The next request sheds the overshoot back under the limit. *)
   ignore (Hier_engine.lookup e ~pid:pid0 ~vpn:100 ~npages:1);
   Alcotest.(check bool) "limit eventually enforced" true
@@ -30,7 +30,7 @@ let test_host_dram_exhaustion () =
   ignore (Hier_engine.lookup e ~pid:pid0 ~vpn:0 ~npages:7);
   let o = Hier_engine.lookup e ~pid:pid0 ~vpn:100 ~npages:2 in
   Alcotest.(check int) "nothing pinned once DRAM is gone" 0
-    o.Hier_engine.pages_pinned;
+    o.Engine_intf.pages_pinned;
   (* The unpinned page reads as untranslatable, not as a stale frame. *)
   Alcotest.(check (option int)) "garbage entry" None
     (Hier_engine.translate e ~pid:pid0 ~vpn:100)
@@ -79,7 +79,9 @@ let test_saved_trace_simulates_identically () =
   in
   Sys.remove file;
   let run t =
-    Sim_driver.run ~seed:1L (Sim_driver.Utlb Hier_engine.default_config) t
+    Sim_driver.run_packed ~seed:1L
+      (Sim_driver.Packed ((module Hier_engine), Hier_engine.default_config))
+      t
   in
   let a = run trace and b = run loaded in
   Alcotest.(check int) "check misses equal" a.Report.check_misses
@@ -109,7 +111,7 @@ let prop_mechanism_page_misses_agree =
         (fun vpn ->
           let uo = Hier_engine.lookup u ~pid:pid0 ~vpn ~npages:1 in
           let io = Intr_engine.lookup i ~pid:pid0 ~vpn ~npages:1 in
-          uo.Hier_engine.ni_misses = io.Intr_engine.ni_misses)
+          uo.Engine_intf.ni_misses = io.Engine_intf.ni_misses)
         vpns)
 
 (* Randomised oracle: replaying any trace prefix gives prefix-consistent

@@ -33,7 +33,11 @@ let utlb_run ?(prefetch = 1) ?(prepin = 1) ?memory_limit ?(entries = 4096)
         backstop = Hier_engine.No_backstop;
       }
     in
-    let r = Sim_driver.run_workload ~seed (Sim_driver.Utlb config) spec in
+    let r =
+      Sim_driver.run_workload ~seed
+        (Sim_driver.Packed ((module Hier_engine), config))
+        spec
+    in
     Hashtbl.replace results key r;
     r
 
@@ -51,7 +55,11 @@ let intr_run ?memory_limit ?(entries = 4096) (spec : Workloads.spec) =
         memory_limit_pages = memory_limit;
       }
     in
-    let r = Sim_driver.run_workload ~seed (Sim_driver.Intr config) spec in
+    let r =
+      Sim_driver.run_workload ~seed
+        (Sim_driver.Packed ((module Intr_engine), config))
+        spec
+    in
     Hashtbl.replace results key r;
     r
 

@@ -93,7 +93,13 @@ let test_backoff_schedule () =
       (Injector.backoff_us inj ~attempts:0);
     (* 2 * (2^3 - 1) = 14: exponential doubling per retry. *)
     Alcotest.(check (float 1e-9)) "three failures" 14.0
-      (Injector.backoff_us inj ~attempts:3)
+      (Injector.backoff_us inj ~attempts:3);
+    (* The series keeps growing where an int 2^n would wrap. *)
+    for attempts = 1 to 200 do
+      let b = Injector.backoff_us inj ~attempts in
+      if not (b > Injector.backoff_us inj ~attempts:(attempts - 1)) then
+        Alcotest.failf "backoff after %d failures: %g us" attempts b
+    done
 
 let test_irq_reissue_budget () =
   (match Plan.of_string "irq-timeout=1.0,irq-retries=3" with
@@ -118,9 +124,15 @@ let test_irq_reissue_budget () =
    completes and counts its recoveries instead of aborting. *)
 let mechanisms =
   [
-    ("utlb", Sim_driver.Utlb Utlb.Hier_engine.default_config);
-    ("intr", Sim_driver.Intr Utlb.Intr_engine.default_config);
-    ("per-process", Sim_driver.Per_process Utlb.Pp_engine.default_config);
+    ( "utlb",
+      Sim_driver.Packed
+        ((module Utlb.Hier_engine), Utlb.Hier_engine.default_config) );
+    ( "intr",
+      Sim_driver.Packed
+        ((module Utlb.Intr_engine), Utlb.Intr_engine.default_config) );
+    ( "per-process",
+      Sim_driver.Packed ((module Utlb.Pp_engine), Utlb.Pp_engine.default_config)
+    );
   ]
 
 let test_engines_recover () =
@@ -128,7 +140,7 @@ let test_engines_recover () =
   List.iter
     (fun (name, mech) ->
       let inj = Injector.create ~seed:7L (heavy_plan ()) in
-      let r = Sim_driver.run ~seed:42L ~faults:inj mech trace in
+      let r = Sim_driver.run_packed ~seed:42L ~faults:inj mech trace in
       Alcotest.(check bool)
         (name ^ " recovered from injected faults")
         true
@@ -146,10 +158,10 @@ let test_empty_plan_changes_nothing () =
   let trace = Workloads.water.Workloads.generate ~seed:42L in
   List.iter
     (fun (name, mech) ->
-      let bare = Sim_driver.run ~seed:42L mech trace in
+      let bare = Sim_driver.run_packed ~seed:42L mech trace in
       let inert =
-        Sim_driver.run ~seed:42L ~faults:(Injector.create Plan.empty) mech
-          trace
+        Sim_driver.run_packed ~seed:42L ~faults:(Injector.create Plan.empty)
+          mech trace
       in
       Alcotest.(check bool) (name ^ " byte-identical report") true
         (bare = inert))
@@ -158,7 +170,7 @@ let test_empty_plan_changes_nothing () =
 let test_faulted_run_is_deterministic () =
   let trace = Workloads.water.Workloads.generate ~seed:42L in
   let once () =
-    Sim_driver.run ~seed:42L
+    Sim_driver.run_packed ~seed:42L
       ~faults:(Injector.create ~seed:7L (heavy_plan ()))
       (List.assoc "utlb" mechanisms) trace
   in

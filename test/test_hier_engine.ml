@@ -12,28 +12,28 @@ let make ?host ?(config = Hier_engine.default_config) () =
 let test_first_lookup_pins_and_misses () =
   let e = make () in
   let o = Hier_engine.lookup e ~pid:pid0 ~vpn:100 ~npages:2 in
-  Alcotest.(check bool) "check miss" true o.Hier_engine.check_miss;
-  Alcotest.(check int) "pinned" 2 o.Hier_engine.pages_pinned;
+  Alcotest.(check bool) "check miss" true o.Engine_intf.check_miss;
+  Alcotest.(check int) "pinned" 2 o.Engine_intf.pages_pinned;
   Alcotest.(check int) "one ioctl for the contiguous run" 1
-    o.Hier_engine.pin_calls;
-  Alcotest.(check int) "NI misses" 2 o.Hier_engine.ni_misses;
-  Alcotest.(check int) "no unpins" 0 o.Hier_engine.pages_unpinned
+    o.Engine_intf.pin_calls;
+  Alcotest.(check int) "NI misses" 2 o.Engine_intf.ni_misses;
+  Alcotest.(check int) "no unpins" 0 o.Engine_intf.pages_unpinned
 
 let test_second_lookup_all_hits () =
   let e = make () in
   ignore (Hier_engine.lookup e ~pid:pid0 ~vpn:100 ~npages:2);
   let o = Hier_engine.lookup e ~pid:pid0 ~vpn:100 ~npages:2 in
-  Alcotest.(check bool) "no check miss" false o.Hier_engine.check_miss;
-  Alcotest.(check int) "no pins" 0 o.Hier_engine.pages_pinned;
-  Alcotest.(check int) "no NI misses" 0 o.Hier_engine.ni_misses
+  Alcotest.(check bool) "no check miss" false o.Engine_intf.check_miss;
+  Alcotest.(check int) "no pins" 0 o.Engine_intf.pages_pinned;
+  Alcotest.(check int) "no NI misses" 0 o.Engine_intf.ni_misses
 
 let test_partial_overlap_pins_remainder () =
   let e = make () in
   ignore (Hier_engine.lookup e ~pid:pid0 ~vpn:100 ~npages:2);
   let o = Hier_engine.lookup e ~pid:pid0 ~vpn:101 ~npages:3 in
-  Alcotest.(check bool) "check miss" true o.Hier_engine.check_miss;
-  Alcotest.(check int) "only the new pages pinned" 2 o.Hier_engine.pages_pinned;
-  Alcotest.(check int) "only the new pages miss" 2 o.Hier_engine.ni_misses
+  Alcotest.(check bool) "check miss" true o.Engine_intf.check_miss;
+  Alcotest.(check int) "only the new pages pinned" 2 o.Engine_intf.pages_pinned;
+  Alcotest.(check int) "only the new pages miss" 2 o.Engine_intf.ni_misses
 
 let test_layers_consistent () =
   let e = make () in
@@ -67,7 +67,7 @@ let test_memory_limit_evicts_lru () =
   (* Touch page 0 so page 1 is the LRU. *)
   ignore (Hier_engine.lookup e ~pid:pid0 ~vpn:0 ~npages:1);
   let o = Hier_engine.lookup e ~pid:pid0 ~vpn:10 ~npages:1 in
-  Alcotest.(check int) "one unpin" 1 o.Hier_engine.pages_unpinned;
+  Alcotest.(check int) "one unpin" 1 o.Engine_intf.pages_unpinned;
   Alcotest.(check int) "limit respected" 4 (Hier_engine.pinned_pages e pid0);
   Alcotest.(check bool) "LRU page 1 went" false
     (Hier_engine.is_pinned e ~pid:pid0 ~vpn:1);
@@ -98,10 +98,10 @@ let test_prepin () =
   let config = { Hier_engine.default_config with prepin = 8 } in
   let e = make ~config () in
   let o = Hier_engine.lookup e ~pid:pid0 ~vpn:100 ~npages:1 in
-  Alcotest.(check int) "prepins 8 pages" 8 o.Hier_engine.pages_pinned;
+  Alcotest.(check int) "prepins 8 pages" 8 o.Engine_intf.pages_pinned;
   (* The pre-pinned neighbours no longer check-miss. *)
   let o2 = Hier_engine.lookup e ~pid:pid0 ~vpn:104 ~npages:1 in
-  Alcotest.(check bool) "no check miss" false o2.Hier_engine.check_miss
+  Alcotest.(check bool) "no check miss" false o2.Engine_intf.check_miss
 
 let test_prefetch_fills_neighbours () =
   let config =
@@ -109,11 +109,11 @@ let test_prefetch_fills_neighbours () =
   in
   let e = make ~config () in
   let o1 = Hier_engine.lookup e ~pid:pid0 ~vpn:100 ~npages:1 in
-  Alcotest.(check int) "one miss" 1 o1.Hier_engine.ni_misses;
-  Alcotest.(check int) "fetched 4 entries" 4 o1.Hier_engine.entries_fetched;
+  Alcotest.(check int) "one miss" 1 o1.Engine_intf.ni_misses;
+  Alcotest.(check int) "fetched 4 entries" 4 o1.Engine_intf.entries_fetched;
   (* The neighbours now hit in the NI cache. *)
   let o2 = Hier_engine.lookup e ~pid:pid0 ~vpn:101 ~npages:3 in
-  Alcotest.(check int) "prefetched pages hit" 0 o2.Hier_engine.ni_misses
+  Alcotest.(check int) "prefetched pages hit" 0 o2.Engine_intf.ni_misses
 
 let test_prefetch_skips_unpinned () =
   (* Prefetch without prepin: entries beyond the pinned page hold the
@@ -122,7 +122,7 @@ let test_prefetch_skips_unpinned () =
   let e = make ~config () in
   let o = Hier_engine.lookup e ~pid:pid0 ~vpn:100 ~npages:1 in
   Alcotest.(check int) "only the valid entry cached" 1
-    o.Hier_engine.entries_fetched;
+    o.Engine_intf.entries_fetched;
   Alcotest.(check bool) "neighbour not cached" false
     (Ni_cache.contains (Hier_engine.cache e) ~pid:pid0 ~vpn:101)
 
@@ -144,9 +144,9 @@ let test_cache_eviction_keeps_translation_alive () =
   Alcotest.(check bool) "still pinned" true
     (Hier_engine.is_pinned e ~pid:pid0 ~vpn:0);
   let o = Hier_engine.lookup e ~pid:pid0 ~vpn:0 ~npages:1 in
-  Alcotest.(check bool) "no re-pin" false o.Hier_engine.check_miss;
-  Alcotest.(check int) "NI miss refilled from table" 1 o.Hier_engine.ni_misses;
-  Alcotest.(check int) "without pinning" 0 o.Hier_engine.pages_pinned
+  Alcotest.(check bool) "no re-pin" false o.Engine_intf.check_miss;
+  Alcotest.(check int) "NI miss refilled from table" 1 o.Engine_intf.ni_misses;
+  Alcotest.(check int) "without pinning" 0 o.Engine_intf.pages_pinned
 
 let test_report_accumulates () =
   let e = make () in
@@ -198,15 +198,15 @@ let test_swapped_table_interrupt_and_recovery () =
        ~disk_block:42);
   let o = Hier_engine.lookup e ~pid:pid0 ~vpn:100 ~npages:1 in
   Alcotest.(check bool) "still no check miss (page pinned)" false
-    o.Hier_engine.check_miss;
-  Alcotest.(check int) "entry recovered" 1 o.Hier_engine.entries_fetched;
+    o.Engine_intf.check_miss;
+  Alcotest.(check int) "entry recovered" 1 o.Engine_intf.entries_fetched;
   let r = Hier_engine.report e ~label:"swap" in
   Alcotest.(check int) "one swap interrupt" 1 r.Report.interrupts;
   Alcotest.(check int) "table resident again" 0
     (Translation_table.swapped_tables (Hier_engine.table e pid0));
   (* Subsequent lookups are back on the fast path. *)
   let o2 = Hier_engine.lookup e ~pid:pid0 ~vpn:100 ~npages:1 in
-  Alcotest.(check int) "cache hit" 0 o2.Hier_engine.ni_misses
+  Alcotest.(check int) "cache hit" 0 o2.Engine_intf.ni_misses
 
 let test_remove_process_releases_everything () =
   let e = make () in

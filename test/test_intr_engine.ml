@@ -16,11 +16,11 @@ let small_cache entries =
 let test_miss_interrupts_and_pins () =
   let e = make () in
   let o = Intr_engine.lookup e ~pid:pid0 ~vpn:10 ~npages:2 in
-  Alcotest.(check int) "two misses" 2 o.Intr_engine.ni_misses;
-  Alcotest.(check int) "one interrupt per miss" 2 o.Intr_engine.interrupts;
-  Alcotest.(check int) "pinned" 2 o.Intr_engine.pages_pinned;
+  Alcotest.(check int) "two misses" 2 o.Engine_intf.ni_misses;
+  Alcotest.(check int) "one interrupt per miss" 2 o.Engine_intf.interrupts;
+  Alcotest.(check int) "pinned" 2 o.Engine_intf.pages_pinned;
   let o2 = Intr_engine.lookup e ~pid:pid0 ~vpn:10 ~npages:2 in
-  Alcotest.(check int) "hits need no interrupt" 0 o2.Intr_engine.interrupts
+  Alcotest.(check int) "hits need no interrupt" 0 o2.Engine_intf.interrupts
 
 let test_eviction_unpins () =
   (* The defining behaviour: a cache eviction unpins the evicted page. *)
@@ -29,14 +29,14 @@ let test_eviction_unpins () =
   Alcotest.(check int) "pinned" 1 (Intr_engine.pinned_pages e pid0);
   (* vpn 4 conflicts with vpn 0 in a 4-entry direct cache. *)
   let o = Intr_engine.lookup e ~pid:pid0 ~vpn:4 ~npages:1 in
-  Alcotest.(check int) "eviction unpinned" 1 o.Intr_engine.pages_unpinned;
+  Alcotest.(check int) "eviction unpinned" 1 o.Engine_intf.pages_unpinned;
   Alcotest.(check int) "pinned stays 1" 1 (Intr_engine.pinned_pages e pid0);
   Alcotest.(check int) "host agrees" 1
     (Host_memory.pinned_pages (Intr_engine.host e) pid0);
   (* Returning to vpn 0 is a fresh miss + interrupt + pin. *)
   let o2 = Intr_engine.lookup e ~pid:pid0 ~vpn:0 ~npages:1 in
-  Alcotest.(check int) "re-interrupt" 1 o2.Intr_engine.interrupts;
-  Alcotest.(check int) "re-pin" 1 o2.Intr_engine.pages_pinned
+  Alcotest.(check int) "re-interrupt" 1 o2.Engine_intf.interrupts;
+  Alcotest.(check int) "re-pin" 1 o2.Engine_intf.pages_pinned
 
 let test_memory_limit () =
   let config =

@@ -199,30 +199,33 @@ let reconcile name mechanism =
 
 let test_reconcile_hier () =
   reconcile "utlb"
-    (Sim_driver.Utlb
-       {
-         Hier_engine.default_config with
-         cache = { Ni_cache.entries = 1024; associativity = Ni_cache.Direct };
-         prefetch = 4;
-       })
+    (Sim_driver.Packed
+       ( (module Hier_engine),
+         {
+           Hier_engine.default_config with
+           cache = { Ni_cache.entries = 1024; associativity = Ni_cache.Direct };
+           prefetch = 4;
+         } ))
 
 let test_reconcile_intr () =
   reconcile "intr"
-    (Sim_driver.Intr
-       {
-         Intr_engine.cache =
-           { Ni_cache.entries = 1024; associativity = Ni_cache.Direct };
-         memory_limit_pages = Some 64;
-       })
+    (Sim_driver.Packed
+       ( (module Intr_engine),
+         {
+           Intr_engine.cache =
+             { Ni_cache.entries = 1024; associativity = Ni_cache.Direct };
+           memory_limit_pages = Some 64;
+         } ))
 
 let test_reconcile_pp () =
   reconcile "per-process"
-    (Sim_driver.Per_process
-       {
-         Pp_engine.sram_budget_entries = 4096;
-         processes = 5;
-         policy = Replacement.Lru;
-       })
+    (Sim_driver.Packed
+       ( (module Pp_engine),
+         {
+           Pp_engine.sram_budget_entries = 4096;
+           processes = 5;
+           policy = Replacement.Lru;
+         } ))
 
 (* --- Metrics snapshots ---------------------------------------------- *)
 

@@ -141,7 +141,9 @@ let test_trace_runs_through_simulator () =
   in
   let trace = Pattern.to_trace ~seed:5L p in
   let r =
-    Utlb.Sim_driver.run (Utlb.Sim_driver.Utlb Utlb.Hier_engine.default_config)
+    Utlb.Sim_driver.run_packed
+      (Utlb.Sim_driver.Packed
+         ((module Utlb.Hier_engine), Utlb.Hier_engine.default_config))
       trace
   in
   Alcotest.(check int) "all lookups simulated" (Trace.length trace)

@@ -21,10 +21,10 @@ let test_budget_split () =
 let test_basic_lookup () =
   let e = make () in
   let o = Pp_engine.lookup e ~pid:pid0 ~vpn:10 ~npages:2 in
-  Alcotest.(check bool) "check miss" true o.Pp_engine.check_miss;
-  Alcotest.(check int) "pinned" 2 o.Pp_engine.pages_pinned;
+  Alcotest.(check bool) "check miss" true o.Engine_intf.check_miss;
+  Alcotest.(check int) "pinned" 2 o.Engine_intf.pages_pinned;
   let o2 = Pp_engine.lookup e ~pid:pid0 ~vpn:10 ~npages:2 in
-  Alcotest.(check bool) "hit" false o2.Pp_engine.check_miss;
+  Alcotest.(check bool) "hit" false o2.Engine_intf.check_miss;
   Alcotest.(check int) "occupancy" 2 (Pp_engine.occupancy e pid0)
 
 let test_static_partitioning_forces_unpins () =
@@ -62,12 +62,12 @@ let test_vs_shared_on_fft () =
   let spec = Utlb_trace.Workloads.fft in
   let pp =
     Sim_driver.run_workload ~seed:42L
-      (Sim_driver.Per_process Pp_engine.default_config)
+      (Sim_driver.Packed ((module Pp_engine), Pp_engine.default_config))
       spec
   in
   let shared =
     Sim_driver.run_workload ~seed:42L
-      (Sim_driver.Utlb Hier_engine.default_config)
+      (Sim_driver.Packed ((module Hier_engine), Hier_engine.default_config))
       spec
   in
   Alcotest.(check bool) "per-process unpins" true

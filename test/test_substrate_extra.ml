@@ -146,16 +146,17 @@ let test_analysis_bound_every_app () =
       let hist = Utlb_trace.Analysis.reuse_distances trace in
       let bound = Utlb_trace.Analysis.hit_ratio_at hist ~entries:4096 in
       let r =
-        Utlb.Sim_driver.run ~seed:42L
-          (Utlb.Sim_driver.Utlb
-             {
-               Utlb.Hier_engine.default_config with
-               cache =
-                 {
-                   Utlb.Ni_cache.entries = 4096;
-                   associativity = Utlb.Ni_cache.Direct;
-                 };
-             })
+        Utlb.Sim_driver.run_packed ~seed:42L
+          (Utlb.Sim_driver.Packed
+             ( (module Utlb.Hier_engine),
+               {
+                 Utlb.Hier_engine.default_config with
+                 cache =
+                   {
+                     Utlb.Ni_cache.entries = 4096;
+                     associativity = Utlb.Ni_cache.Direct;
+                   };
+               } ))
           trace
       in
       let measured =

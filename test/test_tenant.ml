@@ -239,7 +239,7 @@ let test_quota_exactly_exhausted () =
      denial, no headroom left. *)
   let e, tenancy = quota_engine 4 in
   let o = Hier_engine.lookup e ~pid:pid0 ~vpn:100 ~npages:4 in
-  Alcotest.(check int) "all pages pinned" 4 o.Hier_engine.pages_pinned;
+  Alcotest.(check int) "all pages pinned" 4 o.Engine_intf.pages_pinned;
   Alcotest.(check int) "no headroom" 0 (Arbiter.quota_remaining tenancy ~pid:0);
   Alcotest.(check int) "no denials" 0 (denials tenancy)
 
@@ -249,7 +249,7 @@ let test_quota_overflow_denied () =
      unpinned (safe by design, like a memory-limit eviction). *)
   let e, tenancy = quota_engine 4 in
   let o = Hier_engine.lookup e ~pid:pid0 ~vpn:100 ~npages:6 in
-  Alcotest.(check int) "quota's worth pinned" 4 o.Hier_engine.pages_pinned;
+  Alcotest.(check int) "quota's worth pinned" 4 o.Engine_intf.pages_pinned;
   Alcotest.(check int) "shortfall denied" 2 (denials tenancy);
   Alcotest.(check int) "pin accounting agrees" 4
     (Hier_engine.pinned_pages e pid0)
@@ -260,9 +260,9 @@ let test_quota_self_shrink () =
   let e, tenancy = quota_engine 4 in
   ignore (Hier_engine.lookup e ~pid:pid0 ~vpn:100 ~npages:4);
   let o = Hier_engine.lookup e ~pid:pid0 ~vpn:200 ~npages:2 in
-  Alcotest.(check int) "new pages pinned" 2 o.Hier_engine.pages_pinned;
+  Alcotest.(check int) "new pages pinned" 2 o.Engine_intf.pages_pinned;
   Alcotest.(check int) "old pages unpinned to make room" 2
-    o.Hier_engine.pages_unpinned;
+    o.Engine_intf.pages_unpinned;
   Alcotest.(check int) "still at quota" 4 (Hier_engine.pinned_pages e pid0);
   Alcotest.(check int) "no denials" 0 (denials tenancy)
 
@@ -273,7 +273,9 @@ let test_single_tenant_degenerate () =
      untenanted run exactly — same counters, same costs — with the
      isolation block as the only difference. *)
   let spec = Workloads.interference in
-  let mech = Sim_driver.Utlb Hier_engine.default_config in
+  let mech =
+    Sim_driver.Packed ((module Hier_engine), Hier_engine.default_config)
+  in
   let plain = Sim_driver.run_workload ~seed:42L mech spec in
   let tenancy = Arbiter.create (config_of_spec "shared/all=0-7") in
   let tenanted = Sim_driver.run_workload ~seed:42L ~tenancy mech spec in
@@ -334,7 +336,9 @@ let test_strict_partitioning_protects_victim () =
      windowed miss-rate variance, zero cross-tenant evictions — while
      accounting-only (shared) tenancy documents the interference. *)
   let spec = Workloads.interference in
-  let mech = Sim_driver.Utlb Hier_engine.default_config in
+  let mech =
+    Sim_driver.Packed ((module Hier_engine), Hier_engine.default_config)
+  in
   let run tenants =
     let tenancy = Arbiter.create (config_of_spec tenants) in
     let r = Sim_driver.run_workload ~seed:42L ~tenancy mech spec in

@@ -423,21 +423,22 @@ let test_admission_fuzz_limits () =
       }
     in
     let limit = 1 + Random.State.int rng 48 in
-    let mech =
+    let packed =
       if Random.State.bool rng then
-        Sim_driver.Utlb
-          {
-            Utlb.Hier_engine.default_config with
-            cache;
-            prefetch = 1 + Random.State.int rng 4;
-            prepin = 1 + Random.State.int rng 8;
-            memory_limit_pages = Some limit;
-          }
+        Sim_driver.Packed
+          ( (module Utlb.Hier_engine),
+            {
+              Utlb.Hier_engine.default_config with
+              cache;
+              prefetch = 1 + Random.State.int rng 4;
+              prepin = 1 + Random.State.int rng 8;
+              memory_limit_pages = Some limit;
+            } )
       else
-        Sim_driver.Intr
-          { Utlb.Intr_engine.cache; memory_limit_pages = Some limit }
+        Sim_driver.Packed
+          ( (module Utlb.Intr_engine),
+            { Utlb.Intr_engine.cache; memory_limit_pages = Some limit } )
     in
-    let packed = Sim_driver.pack mech in
     let sem = Sim_driver.stepper packed in
     let sanitizer = Sanitizer.create ~mode:Sanitizer.Record () in
     let host, lookup = engine ~sanitizer packed in
@@ -489,14 +490,14 @@ let test_admission_fuzz_tables () =
     let processes = 1 + Random.State.int rng 4 in
     let share = 1 + Random.State.int rng 32 in
     let packed =
-      Sim_driver.pack
-        (Sim_driver.Per_process
-           {
-             Utlb.Pp_engine.sram_budget_entries =
-               (share * processes) + Random.State.int rng processes;
-             processes;
-             policy = Utlb.Replacement.Lru;
-           })
+      Sim_driver.Packed
+        ( (module Utlb.Pp_engine),
+          {
+            Utlb.Pp_engine.sram_budget_entries =
+              (share * processes) + Random.State.int rng processes;
+            processes;
+            policy = Utlb.Replacement.Lru;
+          } )
     in
     let sem = Sim_driver.stepper packed in
     let _, lookup = engine packed in
