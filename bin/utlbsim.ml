@@ -811,6 +811,22 @@ let synth_cmd =
         ("cyclic", `Cyclic); ("hotcold", `Hot_cold); ("random", `Random) ]
   in
   let synth pattern pages lookups passes entries seed =
+    (* The registry's defaults but the cache size, which per-process
+       tables spend as their SRAM budget. A size an engine refuses is a
+       usage error, as in run. *)
+    let params =
+      [ ("entries", string_of_int entries); ("budget", string_of_int entries) ]
+    in
+    let mechanisms =
+      List.map
+        (fun name ->
+          match Sim_driver.Registry.resolve ~name ~params with
+          | Ok packed -> (name, packed)
+          | Error msg ->
+            Printf.eprintf "utlbsim synth: %s\n" msg;
+            exit 1)
+        [ "utlb"; "intr"; "per-process" ]
+    in
     let module P = Utlb_trace.Pattern in
     let p =
       match pattern with
@@ -825,18 +841,8 @@ let synth_cmd =
       (Trace.length trace)
       (Trace.footprint_pages trace);
     let model = Cost_model.default in
-    (* The registry's defaults but the cache size, which per-process
-       tables spend as their SRAM budget. *)
-    let params =
-      [ ("entries", string_of_int entries); ("budget", string_of_int entries) ]
-    in
     List.iter
-      (fun name ->
-        let packed =
-          match Sim_driver.Registry.resolve ~name ~params with
-          | Ok packed -> packed
-          | Error msg -> invalid_arg msg
-        in
+      (fun (name, packed) ->
         let r = Sim_driver.run_packed ~seed ~label:name packed trace in
         let cost =
           match Sim_driver.stepper packed with
@@ -847,7 +853,7 @@ let synth_cmd =
           "%-12s check=%.3f ni=%.3f unpins=%.3f cost=%.1fus\n" name
           (Report.check_miss_rate r) (Report.ni_miss_rate r)
           (Report.unpin_rate r) cost)
-      [ "utlb"; "intr"; "per-process" ]
+      mechanisms
   in
   let pattern_arg =
     Arg.(

@@ -57,9 +57,9 @@ let add_process t pid =
 let has_process t pid = Pid_table.mem t.procs pid
 
 let proc t pid =
-  match Pid_table.find_opt t.procs pid with
-  | Some p -> p
-  | None -> invalid_arg "Host_memory: unknown process"
+  match Pid_table.find t.procs pid with
+  | p -> p
+  | exception Not_found -> invalid_arg "Host_memory: unknown process"
 
 let garbage_frame t = Frame_allocator.garbage_frame t.frames
 
@@ -89,47 +89,54 @@ let set_owner t frame packed =
    started, so it is skipped. *)
 let try_evict t =
   let total = Frame_allocator.total t.frames in
-  let rec scan remaining =
-    if remaining = 0 then false
-    else begin
+  let evicted = ref false and remaining = ref (total - 1) in
+  if t.pinned < total - 1 then
+    while (not !evicted) && !remaining > 0 do
+      decr remaining;
       let f = t.clock_hand in
-      t.clock_hand <- if f + 1 >= total then 1 else f + 1;
+      t.clock_hand <- (if f + 1 >= total then 1 else f + 1);
       let packed = owner_of t f in
-      if packed = no_owner then scan (remaining - 1)
-      else begin
+      if packed <> no_owner then begin
         let p = Pid_table.find t.procs (Pid.of_int (packed lsr vpn_bits)) in
         let vpn = packed land Page_table.max_vpn in
-        if Page_table.frame_of p.table vpn >= 0 && Page_table.pin_of p.table vpn = 0
+        if
+          Page_table.frame_of p.table vpn >= 0
+          && Page_table.pin_of p.table vpn = 0
         then begin
           Page_table.remove p.table vpn;
           t.owner.(f) <- no_owner;
           Frame_allocator.free t.frames f;
           t.evictions <- t.evictions + 1;
-          true
+          evicted := true
         end
-        else scan (remaining - 1)
       end
-    end
-  in
-  t.pinned < total - 1 && scan (total - 1)
+    done;
+  !evicted
 
+(* A free frame, evicting an unpinned page for it if needed; -1 when
+   every frame is pinned. *)
 let rec alloc_frame t =
   match Frame_allocator.alloc t.frames with
-  | Some f -> Some f
-  | None -> if try_evict t then alloc_frame t else None
+  | Some f -> f
+  | None -> if try_evict t then alloc_frame t else -1
 
-let ensure_resident t pid ~vpn =
-  let p = proc t pid in
+(* Frame backing [vpn], faulted in if needed; -1 when DRAM is out. *)
+let fault_in t p pid vpn =
   let frame = Page_table.frame_of p.table vpn in
-  if frame >= 0 then Ok frame
-  else
-    match alloc_frame t with
-    | None -> Error `Out_of_memory
-    | Some f ->
+  if frame >= 0 then frame
+  else begin
+    let f = alloc_frame t in
+    if f >= 0 then begin
       Page_table.set p.table vpn ~frame:f;
       set_owner t f ((Pid.to_int pid lsl vpn_bits) lor vpn);
-      t.faults <- t.faults + 1;
-      Ok f
+      t.faults <- t.faults + 1
+    end;
+    f
+  end
+
+let ensure_resident t pid ~vpn =
+  let f = fault_in t (proc t pid) pid vpn in
+  if f < 0 then Error `Out_of_memory else Ok f
 
 (* Move one page's pin count by [delta] (+1 or -1), keeping the
    process's and the host's pinned-page counts in step. *)
@@ -140,33 +147,40 @@ let adjust_pin t p vpn ~delta =
     t.pinned <- t.pinned + delta
   end
 
-let pin t pid ~vpn ~count =
+let pin_into t pid ~vpn ~count frames =
   if count <= 0 then invalid_arg "Host_memory.pin: count must be positive";
   let p = proc t pid in
   if vpn < 0 || vpn + count - 1 > Page_table.max_vpn then
     invalid_arg "Host_memory.pin: vpn out of range";
-  let frames = Array.make count 0 in
-  let rec pin_from i =
-    if i = count then Ok frames
-    else
-      match ensure_resident t pid ~vpn:(vpn + i) with
-      | Error _ as e ->
-        (* Roll back the pages this call already pinned. *)
-        for j = 0 to i - 1 do
-          adjust_pin t p (vpn + j) ~delta:(-1)
-        done;
-        e
-      | Ok f ->
-        frames.(i) <- f;
-        adjust_pin t p (vpn + i) ~delta:1;
-        pin_from (i + 1)
-  in
-  match pin_from 0 with
-  | Ok _ as ok ->
+  if Array.length frames < count then
+    invalid_arg "Host_memory.pin_into: buffer shorter than count";
+  let i = ref 0 in
+  while !i >= 0 && !i < count do
+    let f = fault_in t p pid (vpn + !i) in
+    if f < 0 then begin
+      (* Roll back the pages this call already pinned. *)
+      for j = 0 to !i - 1 do
+        adjust_pin t p (vpn + j) ~delta:(-1)
+      done;
+      i := -1
+    end
+    else begin
+      frames.(!i) <- f;
+      adjust_pin t p (vpn + !i) ~delta:1;
+      incr i
+    end
+  done;
+  let ok = !i = count in
+  if ok then begin
     t.pin_calls <- t.pin_calls + 1;
-    t.pages_pinned <- t.pages_pinned + count;
-    ok
-  | Error _ as e -> e
+    t.pages_pinned <- t.pages_pinned + count
+  end;
+  ok
+
+let pin t pid ~vpn ~count =
+  if count <= 0 then invalid_arg "Host_memory.pin: count must be positive";
+  let frames = Array.make count 0 in
+  if pin_into t pid ~vpn ~count frames then Ok frames else Error `Out_of_memory
 
 let unpin t pid ~vpn ~count =
   if count <= 0 then invalid_arg "Host_memory.unpin: count must be positive";

@@ -35,13 +35,19 @@ val ensure_resident : t -> Pid.t -> vpn:int -> (int, pin_error) result
 (** Fault the page in if needed (possibly evicting an unpinned page)
     and return its frame. *)
 
+val pin_into : t -> Pid.t -> vpn:int -> count:int -> int array -> bool
+(** [pin_into t pid ~vpn ~count frames] pins the contiguous range
+    [vpn .. vpn+count-1], faulting pages in as needed, and writes their
+    frames to [frames.(0 .. count-1)] (a buffer the caller owns and
+    reuses). [false] when DRAM ran out: no page of the range is then
+    left pinned by this call.
+    @raise Invalid_argument if [count <= 0], the range leaves
+    [0 .. Page_table.max_vpn], or [frames] is shorter than [count];
+    nothing is pinned then either. *)
+
 val pin : t -> Pid.t -> vpn:int -> count:int -> (int array, pin_error) result
-(** [pin t pid ~vpn ~count] pins the contiguous range
-    [vpn .. vpn+count-1], faulting pages in as needed, and returns their
-    frames. On [`Out_of_memory] no page of the range is left pinned by
-    this call.
-    @raise Invalid_argument if [count <= 0] or the range leaves
-    [0 .. Page_table.max_vpn]; nothing is pinned then either. *)
+(** {!pin_into} with a fresh buffer, as a result: the form callers that
+    match on the outcome use. *)
 
 val unpin : t -> Pid.t -> vpn:int -> count:int -> unit
 (** Decrement pin counts over the range.

@@ -2,7 +2,9 @@
    (not 63) so every mask stays positive on 63-bit native ints, which
    keeps the word-wise comparisons below branch-free. The array grows
    on demand, so a 4 GB address space with a few thousand pinned pages
-   still costs only as many words as the highest pinned page needs. *)
+   still costs only as many words as the highest pinned page needs.
+   Word index and bit are computed inline, never returned as a pair:
+   without flambda a returned tuple is allocated. *)
 let bits_per_chunk = 62
 
 let full_chunk = (1 lsl bits_per_chunk) - 1
@@ -15,8 +17,6 @@ type t = {
 let create () = { chunks = Array.make 64 0; population = 0 }
 
 let check_vpn vpn = if vpn < 0 then invalid_arg "Bitvec: negative vpn"
-
-let locate vpn = (vpn / bits_per_chunk, vpn mod bits_per_chunk)
 
 let grow t idx =
   let cap = ref (Array.length t.chunks) in
@@ -32,15 +32,14 @@ let chunk t idx = if idx < Array.length t.chunks then t.chunks.(idx) else 0
 
 let test t vpn =
   check_vpn vpn;
-  let idx, bit = locate vpn in
-  chunk t idx land (1 lsl bit) <> 0
+  chunk t (vpn / bits_per_chunk) land (1 lsl (vpn mod bits_per_chunk)) <> 0
 
 let set t vpn =
   check_vpn vpn;
-  let idx, bit = locate vpn in
+  let idx = vpn / bits_per_chunk in
   if idx >= Array.length t.chunks then grow t idx;
   let word = t.chunks.(idx) in
-  let mask = 1 lsl bit in
+  let mask = 1 lsl (vpn mod bits_per_chunk) in
   if word land mask = 0 then begin
     t.chunks.(idx) <- word lor mask;
     t.population <- t.population + 1
@@ -48,10 +47,10 @@ let set t vpn =
 
 let clear t vpn =
   check_vpn vpn;
-  let idx, bit = locate vpn in
+  let idx = vpn / bits_per_chunk in
   if idx < Array.length t.chunks then begin
     let word = t.chunks.(idx) in
-    let mask = 1 lsl bit in
+    let mask = 1 lsl (vpn mod bits_per_chunk) in
     if word land mask <> 0 then begin
       t.chunks.(idx) <- word land lnot mask;
       t.population <- t.population - 1
@@ -78,85 +77,52 @@ let recount t = Array.fold_left (fun n word -> n + popcount word) 0 t.chunks
    all 62 bits except a low and a high margin. *)
 let range_mask ~lo ~hi = full_chunk lsr (bits_per_chunk - 1 - hi) land lnot ((1 lsl lo) - 1)
 
-let first_clear t ~vpn ~count =
+(* Lowest page of the range whose bit, xor-ed with [flip], is set, or
+   -1: [flip = full_chunk] finds a clear page, [flip = 0] a set one. *)
+let first_where t ~flip ~vpn ~count =
   check_vpn vpn;
   check_range count;
   let last = vpn + count - 1 in
-  let idx0, bit0 = locate vpn in
-  let idx1, bit1 = locate last in
-  let rec scan idx =
-    if idx > idx1 then None
-    else
-      let lo = if idx = idx0 then bit0 else 0 in
-      let hi = if idx = idx1 then bit1 else bits_per_chunk - 1 in
-      let mask = range_mask ~lo ~hi in
-      let missing = lnot (chunk t idx) land mask in
-      if missing = 0 then scan (idx + 1)
-      else begin
-        (* Lowest zero bit of the word inside the range. *)
-        let bit = ref lo in
-        while missing land (1 lsl !bit) = 0 do
-          incr bit
-        done;
-        Some ((idx * bits_per_chunk) + !bit)
-      end
-  in
-  scan idx0
+  let idx1 = last / bits_per_chunk in
+  let idx = ref (vpn / bits_per_chunk) and lo = ref (vpn mod bits_per_chunk) in
+  let found = ref (-1) in
+  while !found < 0 && !idx <= idx1 do
+    let hi =
+      if !idx = idx1 then last mod bits_per_chunk else bits_per_chunk - 1
+    in
+    let hits = (chunk t !idx lxor flip) land range_mask ~lo:!lo ~hi in
+    if hits <> 0 then begin
+      let bit = ref !lo in
+      while hits land (1 lsl !bit) = 0 do
+        incr bit
+      done;
+      found := (!idx * bits_per_chunk) + !bit
+    end;
+    incr idx;
+    lo := 0
+  done;
+  !found
 
-let all_set t ~vpn ~count = first_clear t ~vpn ~count = None
+let first_clear t ~vpn ~count = first_where t ~flip:full_chunk ~vpn ~count
+
+let first_set t ~vpn ~count = first_where t ~flip:0 ~vpn ~count
+
+let all_set t ~vpn ~count = first_clear t ~vpn ~count < 0
 
 (* Number of clear pages in the range, word-wise. *)
 let clear_count t ~vpn ~count =
   check_vpn vpn;
   check_range count;
   let last = vpn + count - 1 in
-  let idx0, bit0 = locate vpn in
-  let idx1, bit1 = locate last in
+  let idx0 = vpn / bits_per_chunk and idx1 = last / bits_per_chunk in
   let n = ref 0 in
   for idx = idx0 to idx1 do
-    let lo = if idx = idx0 then bit0 else 0 in
-    let hi = if idx = idx1 then bit1 else bits_per_chunk - 1 in
-    let mask = range_mask ~lo ~hi in
-    n := !n + popcount (lnot (chunk t idx) land mask)
+    let lo = if idx = idx0 then vpn mod bits_per_chunk else 0 in
+    let hi =
+      if idx = idx1 then last mod bits_per_chunk else bits_per_chunk - 1
+    in
+    n := !n + popcount (lnot (chunk t idx) land range_mask ~lo ~hi)
   done;
   !n
-
-let iter_clear_runs t ~vpn ~count f =
-  check_vpn vpn;
-  check_range count;
-  let last = vpn + count - 1 in
-  let run_start = ref (-1) in
-  let flush upto =
-    if !run_start >= 0 then begin
-      f ~vpn:!run_start ~count:(upto - !run_start);
-      run_start := -1
-    end
-  in
-  let page = ref vpn in
-  while !page <= last do
-    let idx, bit = locate !page in
-    let word = chunk t idx in
-    if word = full_chunk then begin
-      (* Whole word set: close any open run and skip to the next word. *)
-      flush !page;
-      page := (idx + 1) * bits_per_chunk
-    end
-    else begin
-      if word land (1 lsl bit) = 0 then begin
-        if !run_start < 0 then run_start := !page
-      end
-      else flush !page;
-      incr page
-    end
-  done;
-  flush (last + 1)
-
-let clear_pages t ~vpn ~count =
-  let acc = ref [] in
-  iter_clear_runs t ~vpn ~count (fun ~vpn ~count ->
-      for page = vpn to vpn + count - 1 do
-        acc := page :: !acc
-      done);
-  List.rev !acc
 
 let population t = t.population

@@ -23,21 +23,19 @@ val all_set : t -> vpn:int -> count:int -> bool
 (** True when every page of [vpn .. vpn+count-1] is set.
     @raise Invalid_argument if [count <= 0]. *)
 
-val first_clear : t -> vpn:int -> count:int -> int option
-(** Lowest unset page in the range, if any. *)
+val first_clear : t -> vpn:int -> count:int -> int
+(** Lowest unset page in the range, or -1 when every page is set.
+    @raise Invalid_argument if [count <= 0]. *)
 
-val clear_pages : t -> vpn:int -> count:int -> int list
-(** All unset pages in the range, ascending. *)
+val first_set : t -> vpn:int -> count:int -> int
+(** Lowest set page in the range, or -1 when none is. Between them,
+    [first_clear] and [first_set] walk the range's clear runs without
+    a closure or a list: a run starts at a [first_clear] and ends at
+    the next [first_set].
+    @raise Invalid_argument if [count <= 0]. *)
 
 val clear_count : t -> vpn:int -> count:int -> int
 (** Number of unset pages in the range, without building the list. *)
-
-val iter_clear_runs :
-  t -> vpn:int -> count:int -> (vpn:int -> count:int -> unit) -> unit
-(** Call [f ~vpn ~count] once per maximal run of consecutive unset
-    pages in the range, ascending. [f] may set bits inside the run it
-    was given (the pin path does); bits at or before the delivered run
-    are not re-examined. *)
 
 val population : t -> int
 (** Number of set bits (maintained incrementally). *)

@@ -66,6 +66,8 @@ let set_value1 t slot v = t.v1.(slot) <- v
 
 let key_at t slot = t.keys.(slot)
 
+let slots t = Array.length t.keys
+
 let rec grow t =
   let cap = Array.length t.keys in
   (* Double only when most of the pressure is live entries; a table

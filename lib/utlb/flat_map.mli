@@ -35,7 +35,11 @@ val set_value0 : t -> int -> int -> unit
 val set_value1 : t -> int -> int -> unit
 
 val key_at : t -> int -> int
-(** Key stored in a live slot. *)
+(** Key stored in a slot; negative when the slot holds no entry. *)
+
+val slots : t -> int
+(** Slot count: walking slots [0 .. slots t - 1] with {!key_at} visits
+    every live entry without a closure. *)
 
 val iter : t -> (int -> v0:int -> v1:int -> unit) -> unit
 (** Visit live entries in unspecified order. *)

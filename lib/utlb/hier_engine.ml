@@ -54,14 +54,6 @@ let validate config =
     if ways > 0 && (sets <= 0 || sets land (sets - 1) <> 0) then
       invalid_arg "Hier_engine: RestSeg sets must be a power of two"
 
-module Pid_table = Hashtbl.Make (struct
-  type t = Pid.t
-
-  let equal = Pid.equal
-
-  let hash = Pid.hash
-end)
-
 type process = {
   pinned : Bitvec.t;
   table : Translation_table.t;
@@ -88,66 +80,34 @@ type store =
   | Victims of { map : Flat_map.t; ring : int array; mutable cursor : int }
   | Rest of { sets : int; ways : int; keys : int array; frames : int array }
 
-(* The [?sanitizer] option compiled into a record at [create], the same
-   treatment [Utlb_obs.Probe] gives [?obs]: the hot path makes two
-   unconditional indirect calls instead of matching an option per check.
-   [no_san]'s closures are shared no-ops. Cold paths (process exit,
-   [run_invariants]) still use the raw [sanitizer] field. *)
-type san = {
-  san_active : bool;
-  san_fill : t -> Pid.t -> int -> int -> unit;
-      (* pid vpn frame: the UV02/UV03 fetched-entry checks. *)
-  san_pages : t -> Pid.t -> process -> int -> int -> unit;
-      (* pid proc vpn npages: the UV04/UV05 post-lookup shadow scan. *)
-}
-
-and t = {
+type t = {
   config : config;
-  host : Host_memory.t;
-  cache : Ni_cache.t;
-  classifier : Miss_classifier.t;
+  core : process Ni_core.t;
   rng : Rng.t;
-  procs : process Pid_table.t;
-  sanitizer : Sanitizer.t option;
-  san : san;
-  probe : Probe.t;
-  faults : Injector.t option;
-  tenancy : Arbiter.t;
-  ten_active : bool;
-      (* [Arbiter.active tenancy], cached so the untenanted per-page
-         path pays one local branch instead of a cross-module call. *)
   store : store;
   (* Scratch for [lookup]: the clear runs captured before the pin limit
-     is enforced (see there). Grown on demand, never shrunk. *)
+     is enforced (see there), and the frames of one pin call. Grown on
+     demand, never shrunk. *)
   mutable run_start : int array;
   mutable run_len : int array;
-  mutable totals : Report.t;
-  mutable table_swap_interrupts : int;
-      (* Rare path of Section 3.3: a second-level translation table was
-         swapped to disk; the NI interrupts the host to bring it back. *)
-  mutable fault_interrupts : int;
-      (* Injected DMA failures that exhausted their retry budget: the
-         NI gives up on the fetch and interrupts the host instead. *)
-  mutable spills : int;
-  mutable recalls : int;
-  mutable restseg_hits : int;
-      (* Backstop counters, folded into the report at [report] like the
-         interrupt counts: the hot path allocates no report record. *)
+  mutable frames : int array;
 }
 
-(* [create] lives after the sanitizer hooks it compiles (see
-   [compile_san] below). *)
-
 let observe t ~pid ~vpn ~count kind =
-  t.probe.Probe.emit kind ~pid:(Pid.to_int pid) ~vpn ~count
+  Ni_core.observe t.core ~pid ~vpn ~count kind
+
+(* Log lines are built only when someone reads them: a [Log.debug]
+   closure costs an allocation even when the level drops it. *)
+let debugging () =
+  match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
 
 let config t = t.config
 
-let host t = t.host
+let host t = t.core.host
 
-let cache t = t.cache
+let cache t = t.core.cache
 
-let classifier t = t.classifier
+let classifier t = t.core.classifier
 
 (* {2 Backstop hooks}
 
@@ -204,7 +164,7 @@ let spill t pid vpn frame =
     ignore (Flat_map.add v.map key ~v0:frame ~v1:0);
     v.ring.(slot) <- key;
     v.cursor <- (slot + 1) mod Array.length v.ring;
-    t.spills <- t.spills + 1
+    t.core.tally.spills <- t.core.tally.spills + 1
 
 (* A freshly pinned page claims its RestSeg slot (the kernel knows the
    frame right here). Restrictive placement never displaces: a full set
@@ -264,9 +224,9 @@ let purge t pid =
 let audit_store t san =
   let check zone key frame =
     let pid = Pid.of_int (key lsr 20) and vpn = key land 0xFFFFF in
-    match Host_memory.translate t.host pid ~vpn with
+    match Host_memory.translate t.core.host pid ~vpn with
     | Some f when f = frame ->
-      if Host_memory.pin_count t.host pid ~vpn = 0 then
+      if Host_memory.pin_count t.core.host pid ~vpn = 0 then
         Sanitizer.recordf san ~code:"UV05"
           "%a vpn=%#x: %s holds a translation for an unpinned page" Pid.pp
           pid vpn zone
@@ -290,439 +250,284 @@ let audit_store t san =
       keys
 
 let add_process t pid =
-  if not (Pid_table.mem t.procs pid) then begin
-    Host_memory.add_process t.host pid;
-    let table =
-      Translation_table.create
-        ~garbage_frame:(Host_memory.garbage_frame t.host)
-        ~pid ()
-    in
-    Pid_table.replace t.procs pid
+  if not (Ni_core.mem t.core pid) then
+    Ni_core.admit t.core pid
       {
         pinned = Bitvec.create ();
-        table;
+        table =
+          Translation_table.create
+            ~garbage_frame:(Host_memory.garbage_frame t.core.host)
+            ~pid ();
         tracker = Replacement.create t.config.policy ~rng:(Rng.split t.rng);
-      };
-    if t.ten_active then
-      match Arbiter.window t.tenancy ~pid:(Pid.to_int pid) with
-      | None -> ()
-      | Some (base, mask, offset) ->
-        Ni_cache.set_window t.cache ~pid ~base ~mask ~offset
-  end
-
-let proc t pid =
-  match Pid_table.find_opt t.procs pid with
-  | Some p -> p
-  | None -> invalid_arg "Hier_engine: unknown process"
+      }
 
 let remove_process t pid =
-  match Pid_table.find_opt t.procs pid with
+  let c = t.core in
+  match Ni_core.Pid_table.find_opt c.procs pid with
   | None -> 0
   | Some p ->
     (* Unpin everything still pinned, then drop all per-process state
-       and the process's cache lines. *)
+       and the process's cache and backstop lines. *)
     let released = ref 0 in
     Translation_table.iter_valid p.table (fun vpn _frame ->
-        Host_memory.unpin t.host pid ~vpn ~count:1;
+        Host_memory.unpin c.host pid ~vpn ~count:1;
         incr released);
-    (match t.sanitizer with
+    (match c.sanitizer with
     | None -> ()
     | Some san ->
-      (* Every pin must have been matched by an unpin by the time the
-         process leaves (Section 3.4's safety argument). *)
       let bits = Bitvec.population p.pinned in
       if bits <> !released then
         Sanitizer.recordf san ~code:"UV01"
           "%a exit: pin bit vector tracks %d pages but the translation \
            table released %d"
-          Pid.pp pid bits !released;
-      let leaked = Host_memory.pinned_pages t.host pid in
-      if leaked <> 0 then
-        Sanitizer.recordf san ~code:"UV01"
-          "%a exit: %d pages still pinned after releasing the \
-           translation table (pin leak)"
-          Pid.pp pid leaked;
-      let recount = Host_memory.recount_pinned t.host pid in
-      if recount <> leaked then
-        Sanitizer.recordf san ~code:"UV08"
-          "%a exit: host pin counter says %d pinned pages but a table \
-           walk finds %d"
-          Pid.pp pid leaked recount);
-    ignore (Ni_cache.invalidate_process t.cache ~pid);
+          Pid.pp pid bits !released);
+    Ni_core.retire c pid ~released:!released;
     purge t pid;
-    if t.ten_active then
-      Arbiter.note_unpin t.tenancy ~pid:(Pid.to_int pid) ~pages:!released;
-    Pid_table.remove t.procs pid;
-    Log.debug (fun m ->
-        m "%a exit: released %d pinned pages" Pid.pp pid !released);
+    if debugging () then
+      Log.debug (fun m ->
+          m "%a exit: released %d pinned pages" Pid.pp pid !released);
     !released
 
-let table t pid = (proc t pid).table
+let table t pid = (Ni_core.find t.core pid).table
 
-let pinned_pages t pid = Bitvec.population (proc t pid).pinned
+let pinned_pages t pid = Bitvec.population (Ni_core.find t.core pid).pinned
 
 (* Unpin one victim page: clear every layer that knows about it. The
    paper unpins "one page at a time" (Section 6.5). *)
 let unpin_one t pid p victim =
-  Log.debug (fun m -> m "%a evict+unpin vpn=%#x" Pid.pp pid victim);
-  observe t ~pid ~vpn:victim ~count:1 Ev.Unpin;
-  Host_memory.unpin t.host pid ~vpn:victim ~count:1;
-  if t.ten_active then
-    Arbiter.note_unpin t.tenancy ~pid:(Pid.to_int pid) ~pages:1;
+  if debugging () then
+    Log.debug (fun m -> m "%a evict+unpin vpn=%#x" Pid.pp pid victim);
+  Ni_core.unpin_victim t.core pid victim;
   Bitvec.clear p.pinned victim;
   Translation_table.invalidate p.table ~vpn:victim;
-  drop t pid victim;
-  if Ni_cache.invalidate t.cache ~pid ~vpn:victim then
-    Miss_classifier.note_invalidate t.classifier ~pid ~vpn:victim
+  drop t pid victim
 
 (* Make room for [incoming] new pins under the per-process limit.
-   Pages of the current request must not be selected (outstanding
-   transfer). Returns pages unpinned. *)
-let enforce_limit t pid p ~incoming ~request_vpn ~request_npages =
+   Pages of the current request [vpn, vpn + npages) must not be
+   selected (outstanding transfer). *)
+let enforce_limit t pid p ~incoming ~vpn ~npages =
   match t.config.memory_limit_pages with
-  | None -> 0
+  | None -> ()
   | Some limit ->
-    let protect page =
-      page >= request_vpn && page < request_vpn + request_npages
-    in
-    let unpinned = ref 0 in
     let continue = ref true in
     (* [unpin_one] updates the bit vector, so the population already
        reflects prior evictions in this loop. *)
     while !continue && Bitvec.population p.pinned + incoming > limit do
-      match Replacement.select_victim p.tracker ~protect () with
-      | None -> continue := false
-      | Some victim ->
-        unpin_one t pid p victim;
-        incr unpinned
-    done;
-    !unpinned
+      let victim = Replacement.select_outside p.tracker ~vpn ~npages in
+      if victim < 0 then continue := false else unpin_one t pid p victim
+    done
 
-(* Pin the runs stashed in [t.run_start]/[t.run_len], one Host_memory
-   ioctl per contiguous run (pinning a buffer all at once is cheaper
-   than page at a time, Section 6.5). [budget] caps the pages pinned
-   (tenant quota): runs beyond it are truncated or skipped, leaving
-   the pages unpinned — the NI then sees garbage entries, which is safe
-   by design. Returns (calls, pages). *)
+(* Pin the first [nruns] runs stashed in [t.run_start]/[t.run_len], one
+   Host_memory ioctl per contiguous run (pinning a buffer all at once
+   is cheaper than page at a time, Section 6.5). [budget] caps the
+   pages pinned (tenant quota): runs beyond it are truncated or
+   skipped, leaving the pages unpinned — the NI then sees garbage
+   entries, which is safe by design. *)
 let pin_runs t pid p nruns ~budget =
-  let calls = ref 0 and total = ref 0 in
+  let c = t.core in
+  let total = ref 0 in
   for i = 0 to nruns - 1 do
     let start = t.run_start.(i) in
     let count = min t.run_len.(i) (budget - !total) in
-    if count > 0 then begin
-      match Host_memory.pin t.host pid ~vpn:start ~count with
-      | Error `Out_of_memory ->
-        (* Host DRAM exhausted: skip; the pages stay unpinned and the NI
-           will see garbage entries (safe by design). *)
-        ()
-      | Ok frames ->
-        observe t ~pid ~vpn:start ~count Ev.Pin;
-        for j = 0 to count - 1 do
-          let page = start + j in
-          Bitvec.set p.pinned page;
-          Translation_table.install p.table ~vpn:page ~frame:frames.(j);
-          Replacement.insert p.tracker page;
-          place t pid page frames.(j)
-        done;
-        if t.ten_active then
-          Arbiter.note_pin t.tenancy ~pid:(Pid.to_int pid) ~pages:count;
-        incr calls;
-        total := !total + count
+    if count > Array.length t.frames then t.frames <- Array.make count 0;
+    (* A failed pin means host DRAM is exhausted: the pages stay
+       unpinned and the NI will see garbage entries (safe by design). *)
+    if count > 0 && Host_memory.pin_into c.host pid ~vpn:start ~count t.frames
+    then begin
+      observe t ~pid ~vpn:start ~count Ev.Pin;
+      for j = 0 to count - 1 do
+        let page = start + j in
+        Bitvec.set p.pinned page;
+        Translation_table.install p.table ~vpn:page ~frame:t.frames.(j);
+        Replacement.insert p.tracker page;
+        place t pid page t.frames.(j)
+      done;
+      if c.ten_active then
+        Arbiter.note_pin c.tenancy ~pid:(Pid.to_int pid) ~pages:count;
+      Tally.pin c.tally ~calls:1 ~pages:count;
+      total := !total + count
     end
-  done;
-  (!calls, !total)
+  done
 
 (* Tenant quota admission for [incoming] new pins: first try to make
    room by evicting this process's own pages (the tenant shrinks
    itself, never a neighbour), then cap what may still be pinned at the
    tenant's remaining quota, counting the shortfall as denials.
-   Returns (pages unpinned, pin budget). *)
-let enforce_quota t pid p ~incoming ~request_vpn ~request_npages =
-  if not t.ten_active then (0, incoming)
+   Returns the pin budget. *)
+let enforce_quota t pid p ~incoming ~vpn ~npages =
+  let c = t.core in
+  if not c.ten_active then incoming
   else begin
     let ipid = Pid.to_int pid in
-    let protect page =
-      page >= request_vpn && page < request_vpn + request_npages
-    in
-    let unpinned = ref 0 in
     let continue = ref true in
-    while !continue && incoming > Arbiter.quota_remaining t.tenancy ~pid:ipid
+    while !continue && incoming > Arbiter.quota_remaining c.tenancy ~pid:ipid
     do
-      match Replacement.select_victim p.tracker ~protect () with
-      | None -> continue := false
-      | Some victim ->
-        unpin_one t pid p victim;
-        incr unpinned
+      let victim = Replacement.select_outside p.tracker ~vpn ~npages in
+      if victim < 0 then continue := false else unpin_one t pid p victim
     done;
-    let budget = min incoming (Arbiter.quota_remaining t.tenancy ~pid:ipid) in
+    let budget = min incoming (Arbiter.quota_remaining c.tenancy ~pid:ipid) in
     if budget < incoming then
-      Arbiter.note_denied t.tenancy ~pid:ipid ~pages:(incoming - budget);
-    (!unpinned, budget)
+      Arbiter.note_denied c.tenancy ~pid:ipid ~pages:(incoming - budget);
+    budget
   end
 
 (* Cache fill = one entry of the NI's DMA fetch from the translation
    table. With the sanitizer on, verify the fetched entry obeys the
    garbage-page scheme: never the garbage frame, always a pinned page. *)
 let fill_cache t pid vpn frame =
-  t.san.san_fill t pid vpn frame;
-  match Ni_cache.insert t.cache ~pid ~vpn ~frame with
+  let c = t.core in
+  (match c.sanitizer with
   | None -> ()
-  | Some (evicted_pid, evicted_vpn, evicted_frame) ->
-    if t.ten_active then
-      Arbiter.note_eviction t.tenancy
-        ~victim_pid:(Pid.to_int evicted_pid)
-        ~by_pid:(Pid.to_int pid);
-    observe t ~pid:evicted_pid ~vpn:evicted_vpn ~count:Probe.no_count
-      Ev.Ni_evict;
-    spill t evicted_pid evicted_vpn evicted_frame
-
-let note_recovery t pid ~vpn () =
-  Option.iter Injector.note_recovery t.faults;
-  observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_recover;
-  t.totals <-
-    { t.totals with Report.fault_recoveries = t.totals.Report.fault_recoveries + 1 }
+  | Some san ->
+    if frame = Host_memory.garbage_frame c.host then
+      Sanitizer.recordf san ~code:"UV02"
+        "%a vpn=%#x: NI fetched the garbage frame into the Shared \
+         UTLB-Cache"
+        Pid.pp pid vpn
+    else if Host_memory.pin_count c.host pid ~vpn = 0 then
+      Sanitizer.recordf san ~code:"UV03"
+        "%a vpn=%#x: NI fetched a translation to unpinned frame %d" Pid.pp
+        pid vpn frame);
+  if Ni_core.insert c pid vpn frame then
+    spill t
+      (Ni_cache.evicted_pid c.cache)
+      (Ni_cache.evicted_vpn c.cache)
+      (Ni_cache.evicted_frame c.cache)
 
 (* Interrupt-path service of a single entry: the fallback when an
    injected DMA failure burns its whole retry budget. The host installs
    exactly the faulting page's translation (swapping the second-level
    table back in first if needed); no prefetch, no DMA accounting. *)
 let serve_entry_via_interrupt t pid p vpn =
-  t.fault_interrupts <- t.fault_interrupts + 1;
+  Tally.interrupt t.core.tally 1;
   observe t ~pid ~vpn ~count:Probe.no_count Ev.Interrupt;
   (* A page past the table's last entry has no entry to install. *)
-  if vpn <= Translation_table.max_vpn then
-    match Translation_table.lookup p.table ~vpn with
-    | Translation_table.Frame frame -> fill_cache t pid vpn frame
-    | Translation_table.Garbage -> ()
-    | Translation_table.Table_swapped _ ->
-      ignore (Translation_table.swap_in p.table ~dir_index:(vpn lsr 10));
-      (match Translation_table.lookup p.table ~vpn with
-      | Translation_table.Frame frame -> fill_cache t pid vpn frame
-      | Translation_table.Garbage | Translation_table.Table_swapped _ -> ())
+  if vpn <= Translation_table.max_vpn then begin
+    let entry = Translation_table.lookup p.table ~vpn in
+    let entry =
+      if entry >= Translation_table.garbage_entry then entry
+      else begin
+        ignore (Translation_table.swap_in p.table ~dir_index:(vpn lsr 10));
+        Translation_table.lookup p.table ~vpn
+      end
+    in
+    if entry >= 0 then fill_cache t pid vpn entry
+  end
 
 (* NI-side translation of one page: Shared UTLB-Cache lookup, with a
    [prefetch]-entry fill on a miss. Only valid (pinned) translations are
    cached; garbage entries are skipped. A RestSeg answers before the
    cache, a victim store after a miss, before the table walk. *)
 let ni_translate t pid p vpn =
-  (* Fault plane: a spurious invalidation may knock this page's line
-     out just before the probe. It only becomes visible (and worth
-     recovering) if the line was actually resident. *)
-  let injected_invalidate =
-    match t.faults with
-    | None -> false
-    | Some inj ->
-      Injector.cache_invalidate inj
-      && Ni_cache.invalidate t.cache ~pid ~vpn
-      &&
-      (Miss_classifier.note_invalidate t.classifier ~pid ~vpn;
-       observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
-       true)
-  in
+  let c = t.core in
+  let injected_invalidate = Ni_core.spurious_invalidate c pid vpn in
   if restseg_frame t pid vpn >= 0 then begin
     (* RestSeg hit: one hashed probe, no set walk and no table fetch.
        The miss classifier models only the flexible path, so it is not
        told. *)
-    t.restseg_hits <- t.restseg_hits + 1;
-    if t.ten_active then
-      Arbiter.note_ni_access t.tenancy ~pid:(Pid.to_int pid) ~hit:true;
+    c.tally.restseg_hits <- c.tally.restseg_hits + 1;
+    if c.ten_active then
+      Arbiter.note_ni_access c.tenancy ~pid:(Pid.to_int pid) ~hit:true;
     observe t ~pid ~vpn ~count:Probe.no_count Ev.Ni_hit;
-    if injected_invalidate then note_recovery t pid ~vpn ();
-    (0, 0)
+    if injected_invalidate then Ni_core.recover c pid ~vpn
   end
-  else
-  match Ni_cache.lookup t.cache ~pid ~vpn with
-  | Some _ ->
-    if t.ten_active then
-      Arbiter.note_ni_access t.tenancy ~pid:(Pid.to_int pid) ~hit:true;
-    Miss_classifier.note_hit t.classifier ~pid ~vpn;
-    observe t ~pid ~vpn ~count:Probe.no_count Ev.Ni_hit;
-    (0, 0)
-  | None ->
-    if t.ten_active then
-      Arbiter.note_ni_access t.tenancy ~pid:(Pid.to_int pid) ~hit:false;
-    ignore (Miss_classifier.classify t.classifier ~pid ~vpn);
-    observe t ~pid ~vpn ~count:Probe.no_count Ev.Ni_miss;
+  else if Ni_core.probe c pid vpn < 0 then begin
     let recalled = recall t pid vpn in
     if recalled >= 0 then begin
       (* Recall: one direct read from the victim store refills the
          cache. The miss still counts; the DMA walk and the fault plane
          that shields it are skipped. *)
       fill_cache t pid vpn recalled;
-      t.recalls <- t.recalls + 1;
-      if injected_invalidate then note_recovery t pid ~vpn ();
-      (1, 0)
+      c.tally.recalls <- c.tally.recalls + 1;
+      if injected_invalidate then Ni_core.recover c pid ~vpn
     end
-    else
-    (* Fault plane: the second-level table holding this page may have
-       been swapped out from under the NI; the existing Table_swapped
-       recovery below then brings it back. *)
-    let injected_swap =
-      match t.faults with
-      | None -> false
-      | Some inj ->
-        Injector.table_swap inj
-        && vpn <= Translation_table.max_vpn
-        && Translation_table.swap_out p.table ~dir_index:(vpn lsr 10)
-             ~disk_block:1
-        &&
-        (observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
-         true)
-    in
-    (* Fault plane: the DMA fetch of the prefetch block may fail and be
-       retried with backoff; an exhausted budget falls back to the
-       interrupt path for just the faulting entry. *)
-    let dma =
-      match t.faults with None -> Some 0 | Some inj -> Injector.dma_attempts inj
-    in
-    let fetched = ref 0 in
-    (match dma with
-    | None ->
-      let retries =
-        match t.faults with
-        | Some inj -> max 0 (Injector.plan inj).Utlb_fault.Plan.dma_retries
-        | None -> 0
+    else begin
+      (* Fault plane: the second-level table holding this page may have
+         been swapped out from under the NI; the swapped-table recovery
+         below then brings it back. *)
+      let injected_swap =
+        match c.faults with
+        | None -> false
+        | Some inj ->
+          Injector.table_swap inj
+          && vpn <= Translation_table.max_vpn
+          && Translation_table.swap_out p.table ~dir_index:(vpn lsr 10)
+               ~disk_block:1
+          &&
+          (observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
+           true)
       in
-      observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
-      observe t ~pid ~vpn ~count:(1 + retries) Ev.Fault_retry;
-      serve_entry_via_interrupt t pid p vpn;
-      note_recovery t pid ~vpn ()
-    | Some failed ->
-      if failed > 0 then begin
+      (* Fault plane: the DMA fetch of the prefetch block may fail and
+         be retried with backoff ([failed] attempts, 0 without a plan);
+         an exhausted budget (-1) falls back to the interrupt path for
+         just the faulting entry. *)
+      let failed =
+        match c.faults with
+        | None -> 0
+        | Some inj -> Option.value ~default:(-1) (Injector.dma_attempts inj)
+      in
+      let fetched_before = c.tally.fetched in
+      if failed < 0 then begin
+        let retries =
+          match c.faults with
+          | Some inj -> max 0 (Injector.plan inj).Utlb_fault.Plan.dma_retries
+          | None -> 0
+        in
         observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
-        observe t ~pid ~vpn ~count:failed Ev.Fault_retry
+        observe t ~pid ~vpn ~count:(1 + retries) Ev.Fault_retry;
+        serve_entry_via_interrupt t pid p vpn;
+        Ni_core.recover c pid ~vpn
+      end
+      else begin
+        if failed > 0 then begin
+          observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
+          observe t ~pid ~vpn ~count:failed Ev.Fault_retry
+        end;
+        let last = vpn + t.config.prefetch - 1 in
+        for q = vpn to min Translation_table.max_vpn last do
+          let entry = Translation_table.lookup p.table ~vpn:q in
+          let entry =
+            if entry >= Translation_table.garbage_entry then entry
+            else begin
+              (* Interrupt the host to swap the table back in, then
+                 retry the entry. *)
+              Tally.interrupt c.tally 1;
+              observe t ~pid ~vpn:q ~count:Probe.no_count Ev.Interrupt;
+              ignore (Translation_table.swap_in p.table ~dir_index:(q lsr 10));
+              Translation_table.lookup p.table ~vpn:q
+            end
+          in
+          if entry >= 0 then begin
+            Tally.fetch c.tally 1;
+            fill_cache t pid q entry
+          end
+        done;
+        if failed > 0 then Ni_core.recover c pid ~vpn
       end;
-      for q = vpn to vpn + t.config.prefetch - 1 do
-        if q <= Translation_table.max_vpn then begin
-          match Translation_table.lookup p.table ~vpn:q with
-          | Translation_table.Frame frame ->
-            incr fetched;
-            fill_cache t pid q frame
-          | Translation_table.Garbage -> ()
-          | Translation_table.Table_swapped _ ->
-            (* Interrupt the host to swap the table back in, then retry
-               the entry. *)
-            t.table_swap_interrupts <- t.table_swap_interrupts + 1;
-            observe t ~pid ~vpn:q ~count:Probe.no_count Ev.Interrupt;
-            ignore (Translation_table.swap_in p.table ~dir_index:(q lsr 10));
-            (match Translation_table.lookup p.table ~vpn:q with
-            | Translation_table.Frame frame ->
-              incr fetched;
-              fill_cache t pid q frame
-            | Translation_table.Garbage | Translation_table.Table_swapped _ ->
-              ())
-        end
-      done;
-      if failed > 0 then note_recovery t pid ~vpn ());
-    if injected_swap then note_recovery t pid ~vpn ();
-    if injected_invalidate then note_recovery t pid ~vpn ();
-    if !fetched > 0 then observe t ~pid ~vpn ~count:!fetched Ev.Fetch;
-    (1, !fetched)
+      if injected_swap then Ni_core.recover c pid ~vpn;
+      if injected_invalidate then Ni_core.recover c pid ~vpn;
+      let fetched = c.tally.fetched - fetched_before in
+      if fetched > 0 then observe t ~pid ~vpn ~count:fetched Ev.Fetch
+    end
+  end
 
-(* Shadow check of one page: if the Shared UTLB-Cache holds a
-   translation for it, that translation must agree with both the
-   host-resident translation table and the OS page table, and the page
-   must still be pinned. *)
-let check_cached_page t san pid p vpn =
-  match Ni_cache.peek t.cache ~pid ~vpn with
-  | None -> ()
-  | Some frame ->
-    (match Translation_table.lookup p.table ~vpn with
-    | Translation_table.Frame f when f = frame -> ()
-    | Translation_table.Frame f ->
-      Sanitizer.recordf san ~code:"UV04"
-        "%a vpn=%#x: cached frame %d disagrees with translation-table \
-         frame %d"
-        Pid.pp pid vpn frame f
-    | Translation_table.Garbage ->
-      Sanitizer.recordf san ~code:"UV04"
-        "%a vpn=%#x: stale cache entry (frame %d) for an invalidated \
-         translation"
-        Pid.pp pid vpn frame
-    | Translation_table.Table_swapped _ -> ());
-    (match Host_memory.translate t.host pid ~vpn with
-    | Some f when f = frame ->
-      if Host_memory.pin_count t.host pid ~vpn = 0 then
-        Sanitizer.recordf san ~code:"UV05"
-          "%a vpn=%#x: cached translation for an unpinned page" Pid.pp pid
-          vpn
-    | Some f ->
-      Sanitizer.recordf san ~code:"UV04"
-        "%a vpn=%#x: cached frame %d disagrees with host frame %d" Pid.pp
-        pid vpn frame f
-    | None ->
-      Sanitizer.recordf san ~code:"UV04"
-        "%a vpn=%#x: cached translation for a non-resident page" Pid.pp pid
-        vpn)
+(* The engine's own check of a cached line: it must agree with the
+   host-resident translation table. *)
+let check_line san pid p vpn frame =
+  let entry = Translation_table.lookup p.table ~vpn in
+  if entry = Translation_table.garbage_entry then
+    Sanitizer.recordf san ~code:"UV04"
+      "%a vpn=%#x: stale cache entry (frame %d) for an invalidated \
+       translation"
+      Pid.pp pid vpn frame
+  else if entry >= 0 && entry <> frame then
+    Sanitizer.recordf san ~code:"UV04"
+      "%a vpn=%#x: cached frame %d disagrees with translation-table frame %d"
+      Pid.pp pid vpn frame entry
 
 let run_invariants t =
-  match t.sanitizer with
-  | None -> ()
-  | Some san ->
-    let garbage = Host_memory.garbage_frame t.host in
-    Ni_cache.iter_valid t.cache (fun ~pid ~vpn ~frame ->
-        match Pid_table.find_opt t.procs pid with
-        | None ->
-          Sanitizer.recordf san ~code:"UV04"
-            "%a vpn=%#x: cache line (frame %d) for a departed process"
-            Pid.pp pid vpn frame
-        | Some p ->
-          if frame = garbage then
-            Sanitizer.recordf san ~code:"UV02"
-              "%a vpn=%#x: Shared UTLB-Cache holds the garbage frame"
-              Pid.pp pid vpn;
-          check_cached_page t san pid p vpn);
-    audit_store t san;
-    Pid_table.iter
-      (fun pid p ->
-        let bits = Bitvec.population p.pinned in
-        let host_pinned = Host_memory.pinned_pages t.host pid in
-        if bits <> host_pinned then
-          Sanitizer.recordf san ~code:"UV08"
-            "%a: pin bit vector tracks %d pages but the host reports %d \
-             pinned"
-            Pid.pp pid bits host_pinned;
-        let recount = Host_memory.recount_pinned t.host pid in
-        if recount <> host_pinned then
-          Sanitizer.recordf san ~code:"UV08"
-            "%a: host pin counter says %d pinned pages but a table walk \
-             finds %d"
-            Pid.pp pid host_pinned recount)
-      t.procs;
-    List.iter
-      (fun msg ->
-        Sanitizer.recordf san ~code:"UV07" "miss classifier: %s" msg)
-      (Miss_classifier.self_check t.classifier)
-
-let no_san =
-  {
-    san_active = false;
-    san_fill = (fun _ _ _ _ -> ());
-    san_pages = (fun _ _ _ _ _ -> ());
-  }
-
-let compile_san = function
-  | None -> no_san
-  | Some san ->
-    {
-      san_active = true;
-      san_fill =
-        (fun t pid vpn frame ->
-          if frame = Host_memory.garbage_frame t.host then
-            Sanitizer.recordf san ~code:"UV02"
-              "%a vpn=%#x: NI fetched the garbage frame into the Shared \
-               UTLB-Cache"
-              Pid.pp pid vpn
-          else if Host_memory.pin_count t.host pid ~vpn = 0 then
-            Sanitizer.recordf san ~code:"UV03"
-              "%a vpn=%#x: NI fetched a translation to unpinned frame %d"
-              Pid.pp pid vpn frame);
-      san_pages =
-        (fun t pid p vpn npages ->
-          for q = vpn to vpn + npages - 1 do
-            check_cached_page t san pid p q
-          done);
-    }
+  Ni_core.run_invariants t.core;
+  Option.iter (audit_store t) t.core.sanitizer
 
 let create ?host ?sanitizer ?obs ?faults ?tenancy ~seed config =
   validate config;
@@ -740,176 +545,112 @@ let create ?host ?sanitizer ?obs ?faults ?tenancy ~seed config =
         }
     | No_backstop | Victim_store _ | Restseg _ -> Bare
   in
-  let host = match host with Some h -> h | None -> Host_memory.create () in
-  let cache = Ni_cache.create config.cache in
-  let tenancy = Option.value ~default:Arbiter.none tenancy in
-  Arbiter.bind tenancy ~sets:(Ni_cache.sets cache);
   {
     config;
-    host;
-    cache;
-    classifier = Miss_classifier.create ~capacity:config.cache.Ni_cache.entries;
+    core =
+      Ni_core.create ?host ?sanitizer ?obs ?faults ?tenancy
+        ~ledger:"pin bit vector"
+        ~pinned:(fun p -> Bitvec.population p.pinned)
+        ~check_line config.cache;
     rng = Rng.create ~seed;
-    procs = Pid_table.create 8;
-    sanitizer;
-    san = compile_san sanitizer;
-    probe = Probe.of_scope_opt obs;
-    faults;
-    tenancy;
-    ten_active = Arbiter.active tenancy;
     store;
     run_start = Array.make 8 0;
     run_len = Array.make 8 0;
-    totals = Report.empty ~label:"utlb";
-    table_swap_interrupts = 0;
-    fault_interrupts = 0;
-    spills = 0;
-    recalls = 0;
-    restseg_hits = 0;
+    frames = Array.make 8 0;
   }
+
+(* Stash the clear runs of [start, reach) in [t.run_start]/[t.run_len]
+   and return how many there are. *)
+let collect_runs t p ~start ~reach =
+  let n = ref 0 and page = ref start in
+  while !page < reach do
+    let first = Bitvec.first_clear p.pinned ~vpn:!page ~count:(reach - !page) in
+    if first < 0 then page := reach
+    else begin
+      let set = Bitvec.first_set p.pinned ~vpn:first ~count:(reach - first) in
+      let stop = if set < 0 then reach else set in
+      if !n = Array.length t.run_start then begin
+        let grow a =
+          let b = Array.make (2 * Array.length a) 0 in
+          Array.blit a 0 b 0 (Array.length a);
+          b
+        in
+        t.run_start <- grow t.run_start;
+        t.run_len <- grow t.run_len
+      end;
+      t.run_start.(!n) <- first;
+      t.run_len.(!n) <- stop - first;
+      incr n;
+      page := stop
+    end
+  done;
+  !n
+
+(* The check missed at [start], the first unpinned page: pin what the
+   buffer and its pre-pin window lack, through an ioctl. *)
+let pin_missing t pid p ~vpn ~npages ~start =
+  let c = t.core in
+  (* The clear count exists only to be reported, so it is computed
+     only when someone is listening. *)
+  if c.probe.Probe.active then
+    observe t ~pid ~vpn
+      ~count:(Bitvec.clear_count p.pinned ~vpn ~count:npages)
+      Ev.Check_miss;
+  (* Sequential pre-pinning from the first unpinned page. Pages past
+     the translation table's last entry are never pinned; the NI reads
+     the garbage frame for them (UP02). *)
+  let reach =
+    min (Translation_table.max_vpn + 1)
+      (max (vpn + npages) (start + t.config.prepin))
+  in
+  let extra = reach - (vpn + npages) in
+  if extra > 0 then observe t ~pid ~vpn:(vpn + npages) ~count:extra Ev.Pre_pin;
+  (* Snapshot the clear runs of [start, reach) BEFORE enforcing the pin
+     limit: eviction below may unpin pages inside this window, and those
+     must not be re-pinned by this lookup. *)
+  let nruns = collect_runs t p ~start ~reach in
+  let incoming = ref 0 in
+  for i = 0 to nruns - 1 do
+    incoming := !incoming + t.run_len.(i)
+  done;
+  let budget = enforce_quota t pid p ~incoming:!incoming ~vpn ~npages in
+  enforce_limit t pid p ~incoming:budget ~vpn ~npages;
+  pin_runs t pid p nruns ~budget;
+  if debugging () then
+    Log.debug (fun m ->
+        m "%a check miss vpn=%#x+%d: pinned %d pages in %d ioctls" Pid.pp pid
+          vpn npages c.tally.pinned c.tally.calls)
 
 let lookup t ~pid ~vpn ~npages =
   if npages < 1 then invalid_arg "Hier_engine.lookup: npages must be >= 1";
   add_process t pid;
-  let p = proc t pid in
-  if t.ten_active then Arbiter.note_lookup t.tenancy ~pid:(Pid.to_int pid);
-  let interrupts_before = t.table_swap_interrupts + t.fault_interrupts in
+  let c = t.core in
+  let p = Ni_core.find c pid in
+  if c.ten_active then Arbiter.note_lookup c.tenancy ~pid:(Pid.to_int pid);
   (* 1. user-level check — a word-wise scan, no page-list allocation *)
-  let check_miss = not (Bitvec.all_set p.pinned ~vpn ~count:npages) in
-  let pin_calls, pages_pinned, unpin_calls, pages_unpinned =
-    if not check_miss then (0, 0, 0, 0)
-    else begin
-      (* The clear count exists only to be reported, so it is computed
-         only when someone is listening. *)
-      if t.probe.Probe.active then
-        observe t ~pid ~vpn
-          ~count:(Bitvec.clear_count p.pinned ~vpn ~count:npages)
-          Ev.Check_miss;
-      (* Sequential pre-pinning from the first unpinned page. *)
-      let start =
-        match Bitvec.first_clear p.pinned ~vpn ~count:npages with
-        | Some s -> s
-        | None -> assert false (* check_miss implies a clear page *)
-      in
-      (* Pages past the translation table's last entry are never
-         pinned; the NI reads the garbage frame for them (UP02). *)
-      let reach =
-        min (Translation_table.max_vpn + 1)
-          (max (vpn + npages) (start + t.config.prepin))
-      in
-      let extra = reach - (vpn + npages) in
-      if extra > 0 then
-        observe t ~pid ~vpn:(vpn + npages) ~count:extra Ev.Pre_pin;
-      (* Snapshot the clear runs of [start, reach) BEFORE enforcing the
-         pin limit: eviction below may unpin pages inside this window,
-         and those must not be re-pinned by this lookup. *)
-      let nruns = ref 0 and incoming = ref 0 in
-      if reach > start then
-        Bitvec.iter_clear_runs p.pinned ~vpn:start ~count:(reach - start)
-          (fun ~vpn:run_vpn ~count:run_len ->
-            let i = !nruns in
-            if i = Array.length t.run_start then begin
-              let grow a =
-                let b = Array.make (2 * Array.length a) 0 in
-                Array.blit a 0 b 0 (Array.length a);
-                b
-              in
-              t.run_start <- grow t.run_start;
-              t.run_len <- grow t.run_len
-            end;
-            t.run_start.(i) <- run_vpn;
-            t.run_len.(i) <- run_len;
-            nruns := i + 1;
-            incoming := !incoming + run_len);
-      let quota_unpinned, budget =
-        enforce_quota t pid p ~incoming:!incoming ~request_vpn:vpn
-          ~request_npages:npages
-      in
-      let unpinned =
-        quota_unpinned
-        + enforce_limit t pid p ~incoming:budget ~request_vpn:vpn
-            ~request_npages:npages
-      in
-      let calls, pinned = pin_runs t pid p !nruns ~budget in
-      Log.debug (fun m ->
-          m "%a check miss vpn=%#x+%d: pinned %d pages in %d ioctls" Pid.pp
-            pid vpn npages pinned calls);
-      (calls, pinned, unpinned, unpinned)
-    end
-  in
+  let start = Bitvec.first_clear p.pinned ~vpn ~count:npages in
+  if start >= 0 then pin_missing t pid p ~vpn ~npages ~start;
   (* Touch for recency/frequency. *)
   for q = vpn to vpn + npages - 1 do
     Replacement.touch p.tracker q
   done;
   (* 2. NI-side per-page translation *)
-  let ni_misses = ref 0 and entries = ref 0 in
   for q = vpn to vpn + npages - 1 do
-    let m, f = ni_translate t pid p q in
-    ni_misses := !ni_misses + m;
-    entries := !entries + f
+    ni_translate t pid p q
   done;
-  t.san.san_pages t pid p vpn npages;
-  let outcome =
-    {
-      Engine_intf.check_miss;
-      pin_calls;
-      pages_pinned;
-      unpin_calls;
-      pages_unpinned;
-      ni_misses = !ni_misses;
-      entries_fetched = !entries;
-      interrupts =
-        t.table_swap_interrupts + t.fault_interrupts - interrupts_before;
-    }
-  in
-  let tot = t.totals in
-  t.totals <-
-    {
-      tot with
-      Report.lookups = tot.Report.lookups + 1;
-      check_misses = (tot.Report.check_misses + if check_miss then 1 else 0);
-      ni_miss_lookups =
-        (tot.Report.ni_miss_lookups + if !ni_misses > 0 then 1 else 0);
-      ni_page_accesses = tot.Report.ni_page_accesses + npages;
-      ni_page_misses = tot.Report.ni_page_misses + !ni_misses;
-      pin_calls = tot.Report.pin_calls + pin_calls;
-      pages_pinned = tot.Report.pages_pinned + pages_pinned;
-      unpin_calls = tot.Report.unpin_calls + unpin_calls;
-      pages_unpinned = tot.Report.pages_unpinned + pages_unpinned;
-      entries_fetched = tot.Report.entries_fetched + !entries;
-    };
-  (* End of the lookup is this engine's dispatch boundary: hand the
-     batched events to the scope in one replay. *)
-  t.probe.Probe.flush ();
-  outcome
+  Ni_core.finish c pid p ~vpn ~npages ~check_miss:(start >= 0)
 
-let is_pinned t ~pid ~vpn = Bitvec.test (proc t pid).pinned vpn
+let is_pinned t ~pid ~vpn = Bitvec.test (Ni_core.find t.core pid).pinned vpn
 
 let translate t ~pid ~vpn =
-  let p = proc t pid in
-  match Translation_table.lookup p.table ~vpn with
-  | Translation_table.Frame f -> Some f
-  | Translation_table.Garbage | Translation_table.Table_swapped _ -> None
+  let entry = Translation_table.lookup (Ni_core.find t.core pid).table ~vpn in
+  if entry >= 0 then Some entry else None
 
-let report t ~label =
-  {
-    t.totals with
-    Report.label;
-    interrupts = t.table_swap_interrupts + t.fault_interrupts;
-    compulsory = Miss_classifier.compulsory t.classifier;
-    capacity = Miss_classifier.capacity_misses t.classifier;
-    conflict = Miss_classifier.conflict t.classifier;
-    spills = t.spills;
-    recalls = t.recalls;
-    restseg_hits = t.restseg_hits;
-    isolation = Arbiter.snapshot t.tenancy;
-  }
+let report t ~label = Ni_core.report t.core ~label
 
 let mechanism = "utlb"
 
-let processes t =
-  Pid_table.fold (fun pid _ acc -> pid :: acc) t.procs []
-  |> List.sort Pid.compare
+let processes t = Ni_core.processes t.core
 
 let remove_and_report t ~label =
   List.iter (fun pid -> ignore (remove_process t pid)) (processes t);

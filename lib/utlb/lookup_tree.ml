@@ -33,7 +33,7 @@ let create () =
 let check_vpn vpn =
   if vpn < 0 || vpn > max_vpn then invalid_arg "Lookup_tree: vpn out of range"
 
-let split vpn = (vpn lsr table_bits, vpn land (table_entries - 1))
+let index_mask = table_entries - 1
 
 let alloc_block t =
   let needed = (t.blocks + 1) * table_entries in
@@ -50,17 +50,14 @@ let alloc_block t =
 
 let find t vpn =
   check_vpn vpn;
-  let dir, idx = split vpn in
-  let block = t.directory.(dir) in
-  if block < 0 then None
-  else
-    let v = t.pool.((block lsl table_bits) + idx) in
-    if v < 0 then None else Some v
+  let block = t.directory.(vpn lsr table_bits) in
+  if block < 0 then -1
+  else t.pool.((block lsl table_bits) + (vpn land index_mask))
 
 let set t vpn ~index =
   check_vpn vpn;
   if index < 0 then invalid_arg "Lookup_tree.set: negative index";
-  let dir, idx = split vpn in
+  let dir = vpn lsr table_bits in
   let block =
     match t.directory.(dir) with
     | -1 ->
@@ -69,16 +66,15 @@ let set t vpn ~index =
       block
     | block -> block
   in
-  let slot = (block lsl table_bits) + idx in
+  let slot = (block lsl table_bits) + (vpn land index_mask) in
   if t.pool.(slot) < 0 then t.entries <- t.entries + 1;
   t.pool.(slot) <- index
 
 let remove t vpn =
   check_vpn vpn;
-  let dir, idx = split vpn in
-  let block = t.directory.(dir) in
+  let block = t.directory.(vpn lsr table_bits) in
   if block >= 0 then begin
-    let slot = (block lsl table_bits) + idx in
+    let slot = (block lsl table_bits) + (vpn land index_mask) in
     if t.pool.(slot) >= 0 then begin
       t.pool.(slot) <- -1;
       t.entries <- t.entries - 1

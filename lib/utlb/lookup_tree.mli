@@ -14,8 +14,9 @@ val create : unit -> t
 
 val max_vpn : int
 
-val find : t -> int -> int option
-(** Translation-table index for this page, if installed.
+val find : t -> int -> int
+(** Translation-table index for this page, or -1 when none is
+    installed.
     @raise Invalid_argument on an out-of-range vpn. *)
 
 val set : t -> int -> index:int -> unit

@@ -39,6 +39,12 @@ type t = {
   mutable evictions : int;
   mutable valid : int;
   mutable probes : int;
+  (* The line the last evicting [insert] displaced, read through
+     [evicted_*]: per cache, so engines on other domains never share
+     it. *)
+  mutable evicted_pid : int;
+  mutable evicted_vpn : int;
+  mutable evicted_frame : int;
   (* Per-process tenant windows (multi-tenant partitioning):
      index = win_base.(pid) + ((hash + win_offset.(pid)) land
      win_mask.(pid)). [windowed] stays false until the first
@@ -73,6 +79,9 @@ let create config =
     evictions = 0;
     valid = 0;
     probes = 0;
+    evicted_pid = -1;
+    evicted_vpn = -1;
+    evicted_frame = -1;
     windowed = false;
     win_base = [||];
     win_mask = [||];
@@ -154,39 +163,39 @@ let next_tick t =
   t.tick <- t.tick + 1;
   t.tick
 
-(* Slot of (pid, vpn) in its set, or -1; ways probed in the high bits
-   would cost a tuple, so probes are reported through [last_probes]. *)
-let find_way t ~pid ~vpn =
+(* The one slot finder: slot of (pid, vpn) in its set, or -1. *)
+let find_slot t ~pid ~vpn =
   let p = Pid.to_int pid in
   let base = set_slice t (set_index t ~pid ~vpn) in
   let slot = ref (-1) in
-  let probes = ref 0 in
   let w = ref 0 in
   while !slot < 0 && !w < t.nways do
-    incr probes;
     let i = base + !w in
     if t.pids.(i) = p && t.vpns.(i) = vpn then slot := i else incr w
   done;
-  (!slot, !probes)
+  !slot
 
 let lookup t ~pid ~vpn =
-  let slot, probes = find_way t ~pid ~vpn in
-  t.probes <- t.probes + probes;
+  let slot = find_slot t ~pid ~vpn in
   if slot >= 0 then begin
+    (* A hit probed the ways up to its own (sets start at multiples of
+       the power-of-two way count); a miss probed them all. *)
+    t.probes <- t.probes + (slot land (t.nways - 1)) + 1;
     t.hits <- t.hits + 1;
     t.stamps.(slot) <- next_tick t;
-    Some t.frames.(slot)
+    t.frames.(slot)
   end
   else begin
+    t.probes <- t.probes + t.nways;
     t.misses <- t.misses + 1;
-    None
+    -1
   end
 
-let contains t ~pid ~vpn = fst (find_way t ~pid ~vpn) >= 0
+let contains t ~pid ~vpn = find_slot t ~pid ~vpn >= 0
 
 let peek t ~pid ~vpn =
-  let slot = fst (find_way t ~pid ~vpn) in
-  if slot < 0 then None else Some t.frames.(slot)
+  let slot = find_slot t ~pid ~vpn in
+  if slot < 0 then -1 else t.frames.(slot)
 
 let iter_valid t f =
   for i = 0 to t.config.entries - 1 do
@@ -210,23 +219,30 @@ let insert t ~pid ~vpn ~frame =
   if !existing >= 0 then begin
     t.frames.(!existing) <- frame;
     t.stamps.(!existing) <- next_tick t;
-    None
+    false
   end
   else begin
-    let slot, evicted =
-      if !free >= 0 then (!free, None)
-      else begin
-        t.evictions <- t.evictions + 1;
-        (!lru, Some (Pid.of_int t.pids.(!lru), t.vpns.(!lru), t.frames.(!lru)))
-      end
-    in
-    if t.pids.(slot) < 0 then t.valid <- t.valid + 1;
+    let evicts = !free < 0 in
+    let slot = if evicts then !lru else !free in
+    if evicts then begin
+      t.evictions <- t.evictions + 1;
+      t.evicted_pid <- t.pids.(slot);
+      t.evicted_vpn <- t.vpns.(slot);
+      t.evicted_frame <- t.frames.(slot)
+    end
+    else t.valid <- t.valid + 1;
     t.pids.(slot) <- p;
     t.vpns.(slot) <- vpn;
     t.frames.(slot) <- frame;
     t.stamps.(slot) <- next_tick t;
-    evicted
+    evicts
   end
+
+let evicted_pid t = Pid.of_int t.evicted_pid
+
+let evicted_vpn t = t.evicted_vpn
+
+let evicted_frame t = t.evicted_frame
 
 let clear_slot t i =
   t.pids.(i) <- -1;
@@ -235,7 +251,7 @@ let clear_slot t i =
   t.stamps.(i) <- 0
 
 let invalidate t ~pid ~vpn =
-  let slot = fst (find_way t ~pid ~vpn) in
+  let slot = find_slot t ~pid ~vpn in
   if slot < 0 then false
   else begin
     clear_slot t slot;

@@ -59,15 +59,23 @@ val set_window :
     @raise Invalid_argument when [mask+1] is not a power of two or the
     window exceeds the set count. *)
 
-val lookup : t -> pid:Utlb_mem.Pid.t -> vpn:int -> int option
-(** Frame on a hit; updates the set's LRU state and hit counters. *)
+val lookup : t -> pid:Utlb_mem.Pid.t -> vpn:int -> int
+(** Frame on a hit, -1 on a miss; updates the set's LRU state and hit
+    counters. *)
 
-val insert :
-  t -> pid:Utlb_mem.Pid.t -> vpn:int -> frame:int ->
-  (Utlb_mem.Pid.t * int * int) option
-(** Fill a line, returning the evicted (pid, vpn, frame) if a valid
-    line was displaced. Inserting an already-present mapping refreshes
-    it in place and evicts nothing. *)
+val insert : t -> pid:Utlb_mem.Pid.t -> vpn:int -> frame:int -> bool
+(** Fill a line; [true] when a valid line was displaced, which
+    {!evicted_pid}, {!evicted_vpn} and {!evicted_frame} then describe.
+    Inserting an already-present mapping refreshes it in place and
+    evicts nothing. *)
+
+val evicted_pid : t -> Utlb_mem.Pid.t
+(** The line the last evicting {!insert} displaced (per cache, so
+    engines running on other domains never see each other's). *)
+
+val evicted_vpn : t -> int
+
+val evicted_frame : t -> int
 
 val invalidate : t -> pid:Utlb_mem.Pid.t -> vpn:int -> bool
 (** Drop a mapping if cached (unpin path). True when present. *)
@@ -78,9 +86,9 @@ val invalidate_process : t -> pid:Utlb_mem.Pid.t -> int
 val contains : t -> pid:Utlb_mem.Pid.t -> vpn:int -> bool
 (** Probe without touching LRU state or counters. *)
 
-val peek : t -> pid:Utlb_mem.Pid.t -> vpn:int -> int option
-(** Frame for a cached mapping without touching LRU state or counters
-    (sanitizer probe). *)
+val peek : t -> pid:Utlb_mem.Pid.t -> vpn:int -> int
+(** Frame for a cached mapping, or -1, without touching LRU state or
+    counters (sanitizer probe). *)
 
 val iter_valid :
   t -> (pid:Utlb_mem.Pid.t -> vpn:int -> frame:int -> unit) -> unit

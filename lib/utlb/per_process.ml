@@ -15,6 +15,7 @@ type t = {
      first pops come out 0, 1, 2, … like the old cons-list did. *)
   free : int array;
   mutable free_len : int;
+  frame : int array; (* the frame of one pin call *)
   mutable occupancy : int;
   mutable pins : int;
   mutable unpins : int;
@@ -42,6 +43,7 @@ let create ?sram ~host ~pid ~table_entries ~policy ~seed () =
     tracker = Replacement.create policy ~rng:(Rng.create ~seed);
     free = Array.init table_entries (fun i -> table_entries - 1 - i);
     free_len = table_entries;
+    frame = [| 0 |];
     occupancy = 0;
     pins = 0;
     unpins = 0;
@@ -61,91 +63,67 @@ let write_entry t index frame =
   | None -> ()
   | Some (sram, region) -> Sram.write_word sram region index (Int64.of_int frame)
 
-type outcome = {
-  check_miss : bool;
-  pages_pinned : int;
-  pages_unpinned : int;
-  indices : int array;
-  index_runs : int;
-}
-
 let push_free t index =
   t.free.(t.free_len) <- index;
   t.free_len <- t.free_len + 1
 
-(* Evict one page: unpin it, invalidate its tree entry, free its index. *)
-let evict_one t ~protect =
-  match Replacement.select_victim t.tracker ~protect () with
-  | None -> false
-  | Some victim ->
-    (match Lookup_tree.find t.tree victim with
-    | None -> ()
-    | Some index ->
-      write_entry t index t.garbage;
-      push_free t index;
-      t.occupancy <- t.occupancy - 1);
-    Lookup_tree.remove t.tree victim;
-    Host_memory.unpin t.host t.pid ~vpn:victim ~count:1;
-    t.unpins <- t.unpins + 1;
-    true
+(* Evict one page outside the in-flight buffer [vpn, vpn + npages):
+   unpin it, invalidate its tree entry, free its index. *)
+let evict_one t ~vpn ~npages =
+  let victim = Replacement.select_outside t.tracker ~vpn ~npages in
+  victim >= 0
+  && begin
+       let index = Lookup_tree.find t.tree victim in
+       if index >= 0 then begin
+         write_entry t index t.garbage;
+         push_free t index;
+         t.occupancy <- t.occupancy - 1
+       end;
+       Lookup_tree.remove t.tree victim;
+       Host_memory.unpin t.host t.pid ~vpn:victim ~count:1;
+       t.unpins <- t.unpins + 1;
+       true
+     end
 
 let install t vpn =
   if t.free_len = 0 then
     invalid_arg "Per_process: no free index after eviction";
+  if not (Host_memory.pin_into t.host t.pid ~vpn ~count:1 t.frame) then
+    invalid_arg "Per_process: host out of memory";
   t.free_len <- t.free_len - 1;
   let index = t.free.(t.free_len) in
-  match Host_memory.pin t.host t.pid ~vpn ~count:1 with
-  | Error `Out_of_memory ->
-    push_free t index;
-    invalid_arg "Per_process: host out of memory"
-  | Ok frames ->
-    write_entry t index frames.(0);
-    Lookup_tree.set t.tree vpn ~index;
-    Replacement.insert t.tracker vpn;
-    t.occupancy <- t.occupancy + 1;
-    t.pins <- t.pins + 1;
-    index
+  write_entry t index t.frame.(0);
+  Lookup_tree.set t.tree vpn ~index;
+  Replacement.insert t.tracker vpn;
+  t.occupancy <- t.occupancy + 1;
+  t.pins <- t.pins + 1
 
 let lookup t ~vpn ~npages =
   if npages < 1 then invalid_arg "Per_process.lookup: npages must be >= 1";
   if npages > table_entries t then
     invalid_arg "Per_process.lookup: buffer larger than translation table";
-  let protect page = page >= vpn && page < vpn + npages in
-  let pins_before = t.pins and unpins_before = t.unpins in
-  let indices =
-    Array.init npages (fun i ->
-        let page = vpn + i in
-        match Lookup_tree.find t.tree page with
-        | Some index ->
-          Replacement.touch t.tracker page;
-          index
-        | None ->
-          (* Capacity miss in the per-process table: evict until an
-             index frees up. *)
-          let ok = ref (t.free_len > 0) in
-          while not !ok do
-            if evict_one t ~protect then ok := t.free_len > 0
-            else ok := true (* nothing evictable; install will raise *)
-          done;
-          install t page)
-  in
-  (* Fragmentation: count maximal runs of consecutive indices. *)
-  let runs = ref (if npages = 0 then 0 else 1) in
-  for i = 1 to npages - 1 do
-    if indices.(i) <> indices.(i - 1) + 1 then incr runs
+  (* Pages past the lookup tree's last entry get no index and are never
+     pinned: the NI reads the garbage frame for them (UP02). Clipping
+     the span first means nothing raises half way through it. *)
+  let last = min (vpn + npages - 1) Lookup_tree.max_vpn in
+  let missed = ref (last < vpn + npages - 1) in
+  for page = vpn to last do
+    if Lookup_tree.find t.tree page >= 0 then Replacement.touch t.tracker page
+    else begin
+      (* Capacity miss in the per-process table: evict until an index
+         frees up (with nothing evictable, install raises). *)
+      missed := true;
+      while t.free_len = 0 && evict_one t ~vpn ~npages do
+        ()
+      done;
+      install t page
+    end
   done;
-  (* Every page the table missed was pinned (or raised). *)
-  {
-    check_miss = t.pins > pins_before;
-    pages_pinned = t.pins - pins_before;
-    pages_unpinned = t.unpins - unpins_before;
-    indices;
-    index_runs = !runs;
-  }
+  !missed
 
 let release t =
   let released = ref 0 in
-  while evict_one t ~protect:(fun _ -> false) do
+  while evict_one t ~vpn:0 ~npages:0 do
     incr released
   done;
   !released
@@ -155,7 +133,9 @@ let translate_index t ~index =
     invalid_arg "Per_process.translate_index: index out of range";
   if t.table.(index) = t.garbage then None else Some t.table.(index)
 
-let is_pinned t ~vpn = Lookup_tree.find t.tree vpn <> None
+let index t ~vpn = Lookup_tree.find t.tree vpn
+
+let is_pinned t ~vpn = index t ~vpn >= 0
 
 let pins t = t.pins
 

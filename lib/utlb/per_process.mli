@@ -10,9 +10,9 @@
 
     The NI reads the physical address by direct table indexing — there
     are no NI-side misses, but SRAM capacity bounds the table (the
-    motivation for the Shared UTLB-Cache). The module also reports the
+    motivation for the Shared UTLB-Cache). {!index} exposes the
     fragmentation the paper says Hierarchical-UTLB eliminates: the
-    number of non-contiguous index runs a multi-page buffer maps to. *)
+    indices a multi-page buffer maps to need not be contiguous. *)
 
 type t
 
@@ -38,17 +38,16 @@ val occupancy : t -> int
 val sram_bytes : t -> int
 (** SRAM consumed by the table (8 bytes per entry). *)
 
-type outcome = {
-  check_miss : bool;
-  pages_pinned : int;
-  pages_unpinned : int;
-  indices : int array;  (** Table index for each page of the buffer. *)
-  index_runs : int;  (** Contiguous index runs (1 = unfragmented). *)
-}
-
-val lookup : t -> vpn:int -> npages:int -> outcome
-(** Translate a buffer, pinning and installing as needed.
+val lookup : t -> vpn:int -> npages:int -> bool
+(** Translate a buffer, pinning and installing as needed. [true] when
+    the user-level check missed, i.e. some page had no table entry; the
+    pages pinned and unpinned are the moves of {!pins} and {!unpins}.
+    Pages past {!Lookup_tree.max_vpn} get no entry and are never pinned
+    (the NI reads the garbage frame for them); they always miss.
     @raise Invalid_argument if [npages < 1] or larger than the table. *)
+
+val index : t -> vpn:int -> int
+(** Table index holding the page's translation, or -1. *)
 
 val release : t -> int
 (** Process exit: evict (and unpin) every page still resident in the

@@ -16,13 +16,7 @@ type config = {
 let default_config =
   { sram_budget_entries = 8192; processes = 5; policy = Replacement.Lru }
 
-module Pid_table = Hashtbl.Make (struct
-  type t = Pid.t
-
-  let equal = Pid.equal
-
-  let hash = Pid.hash
-end)
+module Pid_table = Ni_core.Pid_table
 
 type t = {
   config : config;
@@ -35,10 +29,7 @@ type t = {
   faults : Injector.t option;
   tenancy : Arbiter.t;
   ten_active : bool;
-  mutable totals : Report.t;
-  mutable fault_interrupts : int;
-      (* Table-entry installs whose DMA burned its retry budget and
-         fell back to interrupt-path service. *)
+  tally : Tally.t;
 }
 
 let entries_per_process (config : config) =
@@ -67,8 +58,7 @@ let create ?host ?sanitizer ?obs ?faults ?tenancy ~seed config =
     faults;
     tenancy;
     ten_active = Arbiter.active tenancy;
-    totals = Report.empty ~label:"per-process";
-    fault_interrupts = 0;
+    tally = Tally.create ();
   }
 
 let observe t ~pid ~vpn ~count kind =
@@ -110,9 +100,9 @@ let table_entries_for t pid =
   end
 
 let table_for t pid =
-  match Pid_table.find_opt t.tables pid with
-  | Some pp -> pp
-  | None ->
+  match Pid_table.find t.tables pid with
+  | pp -> pp
+  | exception Not_found ->
     if Pid_table.length t.tables >= t.config.processes then
       invalid_arg "Pp_engine: more processes than allocated tables";
     let pp =
@@ -159,11 +149,14 @@ let processes t =
 let lookup t ~pid ~vpn ~npages =
   let pp = table_for t pid in
   if t.ten_active then Arbiter.note_lookup t.tenancy ~pid:(Pid.to_int pid);
-  let o = Per_process.lookup pp ~vpn ~npages in
-  let check_miss = o.Per_process.check_miss in
-  let pinned = o.Per_process.pages_pinned in
-  let unpinned = o.Per_process.pages_unpinned in
-  let interrupts_before = t.fault_interrupts in
+  let pins = Per_process.pins pp and unpins = Per_process.unpins pp in
+  let check_miss = Per_process.lookup pp ~vpn ~npages in
+  (* The table pins and unpins one page per call; the NI never
+     misses. *)
+  let pinned = Per_process.pins pp - pins in
+  let unpinned = Per_process.unpins pp - unpins in
+  Tally.pin t.tally ~calls:pinned ~pages:pinned;
+  Tally.unpin t.tally ~pages:unpinned;
   if check_miss then observe t ~pid ~vpn ~count:pinned Ev.Check_miss;
   if t.ten_active then begin
     let ipid = Pid.to_int pid in
@@ -182,31 +175,24 @@ let lookup t ~pid ~vpn ~npages =
      degradation, counted as a recovery. *)
   (match t.faults with
   | Some inj when pinned > 0 -> (
+    let recover () =
+      Injector.note_recovery inj;
+      observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_recover;
+      Tally.recover t.tally
+    in
     match Injector.dma_attempts inj with
     | Some 0 -> ()
     | Some failed ->
       observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
       observe t ~pid ~vpn ~count:failed Ev.Fault_retry;
-      Injector.note_recovery inj;
-      observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_recover;
-      t.totals <-
-        {
-          t.totals with
-          Report.fault_recoveries = t.totals.Report.fault_recoveries + 1;
-        }
+      recover ()
     | None ->
       let retries = max 0 (Injector.plan inj).Utlb_fault.Plan.dma_retries in
       observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
       observe t ~pid ~vpn ~count:(1 + retries) Ev.Fault_retry;
-      t.fault_interrupts <- t.fault_interrupts + 1;
+      Tally.interrupt t.tally 1;
       observe t ~pid ~vpn ~count:Probe.no_count Ev.Interrupt;
-      Injector.note_recovery inj;
-      observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_recover;
-      t.totals <-
-        {
-          t.totals with
-          Report.fault_recoveries = t.totals.Report.fault_recoveries + 1;
-        })
+      recover ())
   | Some _ | None -> ());
   (* Per-page reporting loops exist only to feed the probe; with it
      inactive they are skipped entirely. *)
@@ -224,43 +210,13 @@ let lookup t ~pid ~vpn ~npages =
       observe t ~pid ~vpn:q ~count:Probe.no_count Ev.Ni_hit
     done
   end;
-  let tot = t.totals in
-  t.totals <-
-    {
-      tot with
-      Report.lookups = tot.Report.lookups + 1;
-      check_misses = (tot.Report.check_misses + if check_miss then 1 else 0);
-      ni_page_accesses = tot.Report.ni_page_accesses + npages;
-      pin_calls = tot.Report.pin_calls + pinned;
-      pages_pinned = tot.Report.pages_pinned + pinned;
-      unpin_calls = tot.Report.unpin_calls + unpinned;
-      pages_unpinned = tot.Report.pages_unpinned + unpinned;
-    };
+  let outcome = Tally.finish t.tally ~npages ~check_miss in
   t.probe.Probe.flush ();
-  let interrupts = t.fault_interrupts - interrupts_before in
-  if (not check_miss) && pinned = 0 && unpinned = 0 && interrupts = 0 then
-    Engine_intf.unchanged
-  else
-    (* The table pins and unpins one page per call; the NI never
-       misses. *)
-    {
-      Engine_intf.check_miss;
-      pin_calls = pinned;
-      pages_pinned = pinned;
-      unpin_calls = unpinned;
-      pages_unpinned = unpinned;
-      ni_misses = 0;
-      entries_fetched = 0;
-      interrupts;
-    }
+  outcome
 
 let report t ~label =
-  {
-    t.totals with
-    Report.label;
-    interrupts = t.fault_interrupts;
-    isolation = Arbiter.snapshot t.tenancy;
-  }
+  Tally.report t.tally ~label ~compulsory:0 ~capacity:0 ~conflict:0
+    ~isolation:(Arbiter.snapshot t.tenancy)
 
 let mechanism = "per-process"
 

@@ -76,6 +76,8 @@ val processes : t -> Utlb_mem.Pid.t list
 val lookup :
   t -> pid:Utlb_mem.Pid.t -> vpn:int -> npages:int -> Engine_intf.outcome
 (** Processes are admitted on first use, up to [config.processes].
+    Pages past the 20-bit address space are never pinned and always
+    miss the check, as on the other engines (UP02).
     @raise Invalid_argument if more processes appear than tables. *)
 
 val report : t -> label:string -> Report.t

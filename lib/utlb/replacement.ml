@@ -129,21 +129,14 @@ let sift_down t i =
     end
   done
 
-(* Pop the minimum into the given refs; false when empty. *)
-let heap_pop t rs1 rs2 rpage =
-  if t.hlen = 0 then false
-  else begin
-    rs1 := t.hs1.(0);
-    rs2 := t.hs2.(0);
-    rpage := t.hpage.(0);
-    t.hlen <- t.hlen - 1;
-    if t.hlen > 0 then begin
-      t.hs1.(0) <- t.hs1.(t.hlen);
-      t.hs2.(0) <- t.hs2.(t.hlen);
-      t.hpage.(0) <- t.hpage.(t.hlen);
-      sift_down t 0
-    end;
-    true
+(* Drop the minimum; the caller read it from slot 0 first. *)
+let heap_drop_min t =
+  t.hlen <- t.hlen - 1;
+  if t.hlen > 0 then begin
+    t.hs1.(0) <- t.hs1.(t.hlen);
+    t.hs2.(0) <- t.hs2.(t.hlen);
+    t.hpage.(0) <- t.hpage.(t.hlen);
+    sift_down t 0
   end
 
 (* Replace the heap by one current snapshot per tracked page. Stale
@@ -151,12 +144,18 @@ let heap_pop t rs1 rs2 rpage =
    every pop sequence, and so every victim, stays the same. *)
 let rebuild t =
   t.hlen <- 0;
-  Flat_map.iter t.pages (fun page ~v0:last_use ~v1:uses ->
+  for slot = 0 to Flat_map.slots t.pages - 1 do
+    let page = Flat_map.key_at t.pages slot in
+    if page >= 0 then begin
+      let last_use = Flat_map.value0 t.pages slot in
+      let uses = Flat_map.value1 t.pages slot in
       let i = t.hlen in
       t.hs1.(i) <- score1 t.policy ~last_use ~uses;
       t.hs2.(i) <- score2 t.policy ~last_use;
       t.hpage.(i) <- page;
-      t.hlen <- i + 1);
+      t.hlen <- i + 1
+    end
+  done;
   for i = (t.hlen / 2) - 1 downto 0 do
     sift_down t i
   done
@@ -223,77 +222,78 @@ let mem t page = Flat_map.mem t.pages page
 
 let size t = Flat_map.length t.pages
 
-let select_random t protect =
+(* Victim selection never picks a page of the in-flight span [lo, hi)
+   nor one [protect] accepts; -1 when every tracked page is excluded. *)
+let excluded ~lo ~hi protect page = (page >= lo && page < hi) || protect page
+
+let select_random t ~lo ~hi protect =
   (* Rejection-sample protected pages; fall back to a full scan when the
      sample keeps hitting protected entries (tiny unprotected sets). *)
-  if t.dense_len = 0 then None
-  else begin
-    let attempts = 8 in
-    let rec sample k =
-      if k = 0 then
-        (* Deterministic fallback: first unprotected page in the dense
-           array. *)
-        let rec scan i =
-          if i >= t.dense_len then None
-          else if protect t.dense.(i) then scan (i + 1)
-          else Some t.dense.(i)
-        in
-        scan 0
-      else
-        let candidate = t.dense.(Rng.int t.rng t.dense_len) in
-        if protect candidate then sample (k - 1) else Some candidate
-    in
-    match sample attempts with
-    | None -> None
-    | Some page ->
-      Flat_map.remove t.pages page;
-      dense_remove t page;
-      Some page
-  end
-
-let select_scored t protect =
-  (* Pop snapshots until a current, unprotected one appears. Protected
-     current snapshots are set aside and pushed back afterwards. *)
-  let stash_s1 = ref [] and stash_s2 = ref [] and stash_page = ref [] in
-  let s1 = ref 0 and s2 = ref 0 and page = ref 0 in
-  let victim = ref None in
-  let continue = ref true in
-  while !continue do
-    if not (heap_pop t s1 s2 page) then continue := false
-    else begin
-      let slot = Flat_map.find t.pages !page in
-      if slot < 0 then () (* page no longer tracked *)
-      else begin
-        let last_use = Flat_map.value0 t.pages slot in
-        let uses = Flat_map.value1 t.pages slot in
-        if
-          score1 t.policy ~last_use ~uses <> !s1
-          || score2 t.policy ~last_use <> !s2
-        then () (* stale *)
-        else if protect !page then begin
-          stash_s1 := !s1 :: !stash_s1;
-          stash_s2 := !s2 :: !stash_s2;
-          stash_page := !page :: !stash_page
-        end
-        else begin
-          Flat_map.remove t.pages !page;
-          victim := Some !page;
-          continue := false
-        end
-      end
+  let victim = ref (-1) in
+  if t.dense_len > 0 then begin
+    let attempts = ref 8 in
+    while !victim < 0 && !attempts > 0 do
+      let candidate = t.dense.(Rng.int t.rng t.dense_len) in
+      if not (excluded ~lo ~hi protect candidate) then victim := candidate;
+      decr attempts
+    done;
+    (* Deterministic fallback: first unprotected page in the dense
+       array. *)
+    let i = ref 0 in
+    while !victim < 0 && !i < t.dense_len do
+      let page = t.dense.(!i) in
+      if not (excluded ~lo ~hi protect page) then victim := page;
+      incr i
+    done;
+    if !victim >= 0 then begin
+      Flat_map.remove t.pages !victim;
+      dense_remove t !victim
     end
-  done;
-  let rec push_back l1 l2 l3 =
-    match (l1, l2, l3) with
-    | s1 :: r1, s2 :: r2, page :: r3 ->
-      heap_push t ~s1 ~s2 ~page;
-      push_back r1 r2 r3
-    | _ -> ()
-  in
-  push_back !stash_s1 !stash_s2 !stash_page;
+  end;
   !victim
 
-let select_victim t ?(protect = fun _ -> false) () =
+let rec push_back t = function
+  | [] -> ()
+  | (s1, s2, page) :: rest ->
+    heap_push t ~s1 ~s2 ~page;
+    push_back t rest
+
+let select_scored t ~lo ~hi protect =
+  (* Pop snapshots until a current, unprotected one appears. Protected
+     current snapshots are set aside and pushed back afterwards. *)
+  let stash = ref [] in
+  let victim = ref (-1) in
+  while !victim < 0 && t.hlen > 0 do
+    let s1 = t.hs1.(0) and s2 = t.hs2.(0) and page = t.hpage.(0) in
+    heap_drop_min t;
+    let slot = Flat_map.find t.pages page in
+    (* Skip pages no longer tracked and stale snapshots. *)
+    if slot >= 0 then begin
+      let last_use = Flat_map.value0 t.pages slot in
+      let uses = Flat_map.value1 t.pages slot in
+      if
+        score1 t.policy ~last_use ~uses = s1
+        && score2 t.policy ~last_use = s2
+      then
+        if excluded ~lo ~hi protect page then stash := (s1, s2, page) :: !stash
+        else begin
+          Flat_map.remove t.pages page;
+          victim := page
+        end
+    end
+  done;
+  push_back t !stash;
+  !victim
+
+let select t ~lo ~hi protect =
   match t.policy with
-  | Random -> select_random t protect
-  | Lru | Mru | Lfu | Mfu -> select_scored t protect
+  | Random -> select_random t ~lo ~hi protect
+  | Lru | Mru | Lfu | Mfu -> select_scored t ~lo ~hi protect
+
+let never _ = false
+
+let select_outside t ~vpn ~npages = select t ~lo:vpn ~hi:(vpn + npages) never
+
+let select_victim t ?(protect = never) () =
+  let victim = select t ~lo:0 ~hi:0 protect in
+  if victim < 0 then None else Some victim

@@ -5,9 +5,10 @@
     set of pinned pages with per-page recency and frequency, and selects
     eviction victims according to the chosen policy.
 
-    Victims involved in outstanding requests can be excluded with the
-    [protect] predicate — the correctness requirement of Section 3.1
-    (never unpin a page with an outstanding send). *)
+    Victims involved in outstanding requests are excluded — the
+    correctness requirement of Section 3.1 (never unpin a page with an
+    outstanding send): the engines pass the in-flight span's bounds to
+    {!select_outside}, other callers a predicate to {!select_victim}. *)
 
 type policy = Lru | Mru | Lfu | Mfu | Random
 
@@ -38,7 +39,14 @@ val mem : t -> int -> bool
 
 val size : t -> int
 
+val select_outside : t -> vpn:int -> npages:int -> int
+(** Choose a victim per the policy outside the span
+    [\[vpn, vpn + npages)] and remove it from the tracker; -1 when every
+    tracked page lies in the span or none is tracked. [npages = 0]
+    protects nothing. The engines' form: no closure, no option. *)
+
 val select_victim : t -> ?protect:(int -> bool) -> unit -> int option
-(** Choose a victim per the policy among unprotected pages and remove
-    it from the tracker. [None] when every page is protected or the set
-    is empty. *)
+(** Choose a victim per the policy among pages [protect] rejects and
+    remove it from the tracker. [None] when every page is protected or
+    the set is empty. The same choice {!select_outside} makes, wrapped
+    for callers that match on an option. *)

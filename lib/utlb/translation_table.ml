@@ -11,15 +11,15 @@ let directory_entries = 1 lsl directory_bits
 
 let max_vpn = (1 lsl (directory_bits + table_bits)) - 1
 
-type lookup = Frame of int | Garbage | Table_swapped of int
+let garbage_entry = -1
 
 (* Flat layout: every second-level table is a [table_entries]-int block
    in one growable pool, and the directory is two int arrays — the
    block id backing each slot (-1 = never allocated; swapped tables
    keep their block so [swap_in] restores entries in place) and a state
    word: [state_empty], [state_resident], or [-(disk_block + 1)] for a
-   swapped table. The NI lookup is then two int-array reads with no
-   variant header in between. *)
+   swapped table. The NI lookup is then two int-array reads, and its
+   result one int. *)
 let state_empty = 0
 
 let state_resident = 1
@@ -67,7 +67,9 @@ let check_vpn vpn =
   if vpn < 0 || vpn > max_vpn then
     invalid_arg "Translation_table: vpn out of range"
 
-let split vpn = (vpn lsr table_bits, vpn land (table_entries - 1))
+(* A vpn splits into its directory slot [vpn lsr table_bits] and its
+   index [vpn land index_mask] in that slot's table. *)
+let index_mask = table_entries - 1
 
 (* Keep the SRAM copy of a directory word in sync: positive values are
    "host physical address" of the table (we store the index), negative
@@ -121,8 +123,8 @@ let base_for t dir =
 let install t ~vpn ~frame =
   check_vpn vpn;
   if frame < 0 then invalid_arg "Translation_table.install: negative frame";
-  let dir, idx = split vpn in
-  let base = base_for t dir in
+  let base = base_for t (vpn lsr table_bits) in
+  let idx = vpn land index_mask in
   if base < 0 then invalid_arg "Translation_table.install: table is swapped out";
   let old = t.pool.(base + idx) in
   if old = t.garbage && frame <> t.garbage then t.valid <- t.valid + 1;
@@ -131,13 +133,13 @@ let install t ~vpn ~frame =
 
 let invalidate t ~vpn =
   check_vpn vpn;
-  let dir, idx = split vpn in
+  let dir = vpn lsr table_bits in
   let state = t.dir_state.(dir) in
   if state <> state_empty then
     if state <> state_resident then
       invalid_arg "Translation_table.invalidate: table is swapped out"
     else begin
-      let slot = (t.dir_block.(dir) lsl table_bits) + idx in
+      let slot = (t.dir_block.(dir) lsl table_bits) + (vpn land index_mask) in
       if t.pool.(slot) <> t.garbage then begin
         t.pool.(slot) <- t.garbage;
         t.valid <- t.valid - 1
@@ -146,14 +148,16 @@ let invalidate t ~vpn =
 
 let lookup t ~vpn =
   check_vpn vpn;
-  let dir, idx = split vpn in
+  let dir = vpn lsr table_bits in
   let state = t.dir_state.(dir) in
   if state = state_resident then begin
-    let frame = t.pool.((t.dir_block.(dir) lsl table_bits) + idx) in
-    if frame = t.garbage then Garbage else Frame frame
+    let frame =
+      t.pool.((t.dir_block.(dir) lsl table_bits) + (vpn land index_mask))
+    in
+    if frame = t.garbage then garbage_entry else frame
   end
-  else if state = state_empty then Garbage
-  else Table_swapped (-state - 1)
+  else if state = state_empty then garbage_entry
+  else state - 1 (* -(disk_block + 2) *)
 
 let valid_entries t = t.valid
 

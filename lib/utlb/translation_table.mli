@@ -12,17 +12,17 @@
 
     The module also implements the paper's extension for reclaiming
     second-level tables: a table can be swapped out to a disk block, in
-    which case lookups report [`Table_swapped] and the caller must raise
-    a host interrupt to swap it back in. *)
+    which case lookups report it and the caller must raise a host
+    interrupt to swap it back in. *)
 
 type t
 
 val max_vpn : int
 (** Largest virtual page number the two-level table covers. *)
 
-type lookup = Frame of int | Garbage | Table_swapped of int
-(** [Table_swapped block] carries the disk block number stored in the
-    directory entry. *)
+val garbage_entry : int
+(** -1: what {!lookup} returns for an entry holding the garbage
+    frame. *)
 
 val create :
   ?sram:Utlb_nic.Sram.t -> garbage_frame:int -> pid:Utlb_mem.Pid.t -> unit -> t
@@ -40,8 +40,12 @@ val install : t -> vpn:int -> frame:int -> unit
 val invalidate : t -> vpn:int -> unit
 (** Reset the entry to the garbage frame. *)
 
-val lookup : t -> vpn:int -> lookup
-(** NI path: directory reference plus second-level read. *)
+val lookup : t -> vpn:int -> int
+(** NI path: directory reference plus second-level read. The frame of
+    a valid entry (>= 0); {!garbage_entry} for an entry holding the garbage
+    frame; [-(block + 2)] when the entry's second-level table is
+    swapped out to disk block [block], so every result below
+    {!garbage_entry} means "swapped". *)
 
 val valid_entries : t -> int
 (** Entries currently holding a real (non-garbage) frame. *)

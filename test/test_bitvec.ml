@@ -26,10 +26,11 @@ let test_range_queries () =
   List.iter (Bitvec.set bv) [ 10; 11; 13 ];
   Alcotest.(check bool) "not all set" false (Bitvec.all_set bv ~vpn:10 ~count:4);
   Alcotest.(check bool) "prefix set" true (Bitvec.all_set bv ~vpn:10 ~count:2);
-  Alcotest.(check (option int)) "first clear" (Some 12)
-    (Bitvec.first_clear bv ~vpn:10 ~count:4);
-  Alcotest.(check (list int)) "clear pages" [ 12; 14 ]
-    (Bitvec.clear_pages bv ~vpn:10 ~count:5)
+  Alcotest.(check int) "first clear" 12 (Bitvec.first_clear bv ~vpn:10 ~count:4);
+  Alcotest.(check int) "next clear" 14 (Bitvec.first_clear bv ~vpn:13 ~count:2);
+  Alcotest.(check int) "first set" 13 (Bitvec.first_set bv ~vpn:12 ~count:3);
+  Alcotest.(check int) "none clear" (-1) (Bitvec.first_clear bv ~vpn:10 ~count:2);
+  Alcotest.(check int) "clear count" 2 (Bitvec.clear_count bv ~vpn:10 ~count:5)
 
 let test_range_crossing_chunk () =
   let bv = Bitvec.create () in
@@ -40,8 +41,10 @@ let test_range_crossing_chunk () =
   Alcotest.(check bool) "cross-chunk all_set" true
     (Bitvec.all_set bv ~vpn:58 ~count:9);
   Bitvec.clear bv 62;
-  Alcotest.(check (option int)) "finds hole at boundary" (Some 62)
-    (Bitvec.first_clear bv ~vpn:58 ~count:9)
+  Alcotest.(check int) "finds hole at boundary" 62
+    (Bitvec.first_clear bv ~vpn:58 ~count:9);
+  Alcotest.(check int) "next set past the hole" 63
+    (Bitvec.first_set bv ~vpn:62 ~count:5)
 
 let test_invalid () =
   let bv = Bitvec.create () in

@@ -46,6 +46,24 @@ let model_runs model ~vpn ~count =
   if !start >= 0 then runs := (!start, vpn + count - !start) :: !runs;
   List.rev !runs
 
+(* The clear runs of a range, walked as the hierarchical engine walks
+   them: each run starts at a [first_clear] and ends at the next
+   [first_set]. [on_run] may set bits inside the run it was given. *)
+let clear_runs ?(on_run = fun ~vpn:_ ~count:_ -> ()) bv ~vpn ~count =
+  let stop = vpn + count in
+  let rec walk page acc =
+    if page >= stop then List.rev acc
+    else
+      let first = Bitvec.first_clear bv ~vpn:page ~count:(stop - page) in
+      if first < 0 then List.rev acc
+      else
+        let set = Bitvec.first_set bv ~vpn:first ~count:(stop - first) in
+        let next = if set < 0 then stop else set in
+        on_run ~vpn:first ~count:(next - first);
+        walk next ((first, next - first) :: acc)
+  in
+  walk vpn []
+
 let bitvec_differential () =
   let rng = Rng.create ~seed in
   let bv = Bitvec.create () in
@@ -72,37 +90,37 @@ let bitvec_differential () =
         expect
         (Bitvec.all_set bv ~vpn ~count)
     | 5 ->
+      (* -1 exactly where the model has no clear page. *)
       let expect =
         match model_runs model ~vpn ~count with
-        | [] -> None
-        | (first, _) :: _ -> Some first
+        | [] -> -1
+        | (first, _) :: _ -> first
       in
-      Alcotest.(check (option int))
+      Alcotest.(check int)
         (Printf.sprintf "first_clear@%d" step)
         expect
         (Bitvec.first_clear bv ~vpn ~count)
     | 6 ->
-      let expect =
-        List.concat_map
-          (fun (start, len) -> List.init len (fun i -> start + i))
-          (model_runs model ~vpn ~count)
-      in
-      Alcotest.(check (list int))
-        (Printf.sprintf "clear_pages@%d" step)
-        expect
-        (Bitvec.clear_pages bv ~vpn ~count);
+      let runs = model_runs model ~vpn ~count in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "clear runs@%d" step)
+        runs
+        (clear_runs bv ~vpn ~count);
       Alcotest.(check int)
         (Printf.sprintf "clear_count@%d" step)
-        (List.length expect)
+        (List.fold_left (fun n (_, len) -> n + len) 0 runs)
         (Bitvec.clear_count bv ~vpn ~count)
     | _ ->
-      let got = ref [] in
-      Bitvec.iter_clear_runs bv ~vpn ~count (fun ~vpn ~count ->
-          got := (vpn, count) :: !got);
-      Alcotest.(check (list (pair int int)))
-        (Printf.sprintf "iter_clear_runs@%d" step)
-        (model_runs model ~vpn ~count)
-        (List.rev !got));
+      let expect =
+        let pages = List.init count (( + ) vpn) in
+        match List.find_opt (Hashtbl.mem model) pages with
+        | Some page -> page
+        | None -> -1
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "first_set@%d" step)
+        expect
+        (Bitvec.first_set bv ~vpn ~count));
     if step mod 1_000 = 0 then
       Alcotest.(check int)
         (Printf.sprintf "population@%d" step)
@@ -113,20 +131,20 @@ let bitvec_differential () =
   Alcotest.(check int) "population = recount" (Bitvec.recount bv)
     (Bitvec.population bv)
 
-(* The pin path sets bits inside a run while iterating; the contract
-   says delivered runs are not re-examined. *)
+(* A run walk resumes after the run it delivered, so a caller may set
+   bits inside that run while walking: each run is delivered once. *)
 let bitvec_iter_sets_inside_run () =
   let bv = Bitvec.create () in
   Bitvec.set bv 10;
   Bitvec.set bv 200;
-  let runs = ref [] in
-  Bitvec.iter_clear_runs bv ~vpn:0 ~count:300 (fun ~vpn ~count ->
-      runs := (vpn, count) :: !runs;
-      for p = vpn to vpn + count - 1 do
-        Bitvec.set bv p
-      done);
+  let runs =
+    clear_runs bv ~vpn:0 ~count:300 ~on_run:(fun ~vpn ~count ->
+        for p = vpn to vpn + count - 1 do
+          Bitvec.set bv p
+        done)
+  in
   Alcotest.(check (list (pair int int)))
-    "runs delivered once" [ (0, 10); (11, 189); (201, 99) ] (List.rev !runs);
+    "runs delivered once" [ (0, 10); (11, 189); (201, 99) ] runs;
   Alcotest.(check bool) "range now pinned" true
     (Bitvec.all_set bv ~vpn:0 ~count:300)
 
@@ -187,6 +205,15 @@ let flat_map_differential () =
 
 type dir_state = Empty | Resident | Swapped of int
 
+(* The reference's answer to a lookup, and the one int the table
+   returns for it. *)
+type entry = Frame of int | Garbage | Table_swapped of int
+
+let encode = function
+  | Frame frame -> frame
+  | Garbage -> Tt.garbage_entry
+  | Table_swapped block -> -(block + 2)
+
 let tt_differential () =
   let rng = Rng.create ~seed in
   let garbage = 0 in
@@ -244,23 +271,18 @@ let tt_differential () =
       | Empty | Resident ->
         Tt.invalidate table ~vpn;
         Hashtbl.remove entries vpn)
-    | 4 | 5 | 6 -> (
-      let got = Tt.lookup table ~vpn in
-      match state.(dir) with
-      | Swapped block ->
-        Alcotest.(check bool)
-          (Printf.sprintf "lookup swapped@%d" step)
-          true
-          (got = Tt.Table_swapped block)
-      | Empty | Resident ->
-        let expect =
+    | 4 | 5 | 6 ->
+      let expect =
+        match state.(dir) with
+        | Swapped block -> Table_swapped block
+        | Empty | Resident -> (
           match Hashtbl.find_opt entries vpn with
-          | Some frame -> Tt.Frame frame
-          | None -> Tt.Garbage
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf "lookup@%d" step)
-          true (got = expect))
+          | Some frame -> Frame frame
+          | None -> Garbage)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "lookup@%d" step)
+        (encode expect) (Tt.lookup table ~vpn)
     | 7 ->
       let block = Rng.int rng 10_000 in
       let expect = state.(dir) = Resident in
@@ -335,11 +357,11 @@ let ni_differential assoc () =
           Some frame
         | None -> None
       in
-      match Ni.lookup cache ~pid:(Pid.of_int pid) ~vpn with
-      | got ->
-        Alcotest.(check (option int))
-          (Printf.sprintf "lookup@%d" step)
-          expect got)
+      (* The frame, or -1 exactly where the reference misses. *)
+      Alcotest.(check int)
+        (Printf.sprintf "lookup@%d" step)
+        (Option.value ~default:(-1) expect)
+        (Ni.lookup cache ~pid:(Pid.of_int pid) ~vpn))
     | 3 | 4 | 5 ->
       let frame = Rng.int rng 10_000 in
       let expect_evicted =
@@ -366,9 +388,12 @@ let ni_differential assoc () =
         end
       in
       let got =
-        Option.map
-          (fun (p, v, f) -> (Pid.to_int p, v, f))
-          (Ni.insert cache ~pid:(Pid.of_int pid) ~vpn ~frame)
+        if Ni.insert cache ~pid:(Pid.of_int pid) ~vpn ~frame then
+          Some
+            ( Pid.to_int (Ni.evicted_pid cache),
+              Ni.evicted_vpn cache,
+              Ni.evicted_frame cache )
+        else None
       in
       Alcotest.(check (option (triple int int int)))
         (Printf.sprintf "insert@%d" step)
@@ -381,9 +406,9 @@ let ni_differential assoc () =
         expect
         (Ni.invalidate cache ~pid:(Pid.of_int pid) ~vpn)
     | 7 ->
-      Alcotest.(check (option int))
+      Alcotest.(check int)
         (Printf.sprintf "peek@%d" step)
-        (List.assoc_opt (pid, vpn) sets.(s))
+        (Option.value ~default:(-1) (List.assoc_opt (pid, vpn) sets.(s)))
         (Ni.peek cache ~pid:(Pid.of_int pid) ~vpn);
       Alcotest.(check bool)
         (Printf.sprintf "contains@%d" step)
@@ -562,6 +587,7 @@ module Host = Utlb_mem.Host_memory
 
 let host_differential () =
   let rng = Rng.create ~seed in
+  let buffer = Array.make 8 (-1) in
   let ooms = ref 0 and rollbacks = ref 0 and evictions = ref 0 in
   List.iter
     (fun (frames, npids) ->
@@ -581,15 +607,22 @@ let host_differential () =
         let vpn = Rng.int rng vpns in
         let count = 1 + Rng.int rng 4 in
         (match Rng.int rng 20 with
-        | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 ->
+        | (0 | 1 | 2 | 3 | 4 | 5 | 6 | 7) as op ->
           let expect = result (Ref_host.pin model ipid ~vpn ~count) in
           if expect = None then begin
             incr ooms;
             if count > 1 then incr rollbacks
           end;
-          Alcotest.(check (option (array int)))
-            (ctx step "pin") expect
-            (result (Host.pin host pid ~vpn ~count))
+          (* Half the pins go through the engines' buffer form, whose
+             frames must be the result form's and whose failure must
+             roll back the same way (the per-step checks below). *)
+          let got =
+            if op < 4 then result (Host.pin host pid ~vpn ~count)
+            else if Host.pin_into host pid ~vpn ~count buffer then
+              Some (Array.sub buffer 0 count)
+            else None
+          in
+          Alcotest.(check (option (array int))) (ctx step "pin") expect got
         | 8 | 9 | 10 | 11 | 12 ->
           (* Mostly pages the reference holds pinned, so that most
              calls succeed; the rest must fail the same way. *)
@@ -893,7 +926,11 @@ end
 let replacement_differential policy () =
   let module R = Utlb.Replacement in
   let rng = Rng.create ~seed in
+  (* Two trackers in lockstep with the reference, one evicting by the
+     in-flight span's bounds, one by a predicate over the same span;
+     under Random all three draw the same numbers. *)
   let tracker = R.create policy ~rng:(Rng.create ~seed:7L) in
+  let by_predicate = R.create policy ~rng:(Rng.create ~seed:7L) in
   let model = Ref_replacement.create policy ~rng:(Rng.create ~seed:7L) in
   let npages = 300 in
   let victims = ref 0 in
@@ -907,22 +944,29 @@ let replacement_differential policy () =
     | 0 | 1 | 2 ->
       if not (Ref_replacement.mem model page) then begin
         Ref_replacement.insert model page;
-        R.insert tracker page
+        R.insert tracker page;
+        R.insert by_predicate page
       end
     | 3 | 4 | 5 | 6 ->
       Ref_replacement.touch model page;
-      R.touch tracker page
+      R.touch tracker page;
+      R.touch by_predicate page
     | 7 ->
       Ref_replacement.remove model page;
-      R.remove tracker page
+      R.remove tracker page;
+      R.remove by_predicate page
     | _ when evicting || Rng.int rng 8 = 0 ->
       let lo = Rng.int rng npages and width = Rng.int rng 64 in
       let protect p = p >= lo && p < lo + width in
       let expect = Ref_replacement.select_victim model protect in
       if expect <> None then incr victims;
+      Alcotest.(check int)
+        (ctx "select_outside")
+        (Option.value ~default:(-1) expect)
+        (R.select_outside tracker ~vpn:lo ~npages:width);
       Alcotest.(check (option int))
         (ctx "select_victim") expect
-        (R.select_victim tracker ~protect ())
+        (R.select_victim by_predicate ~protect ())
     | _ ->
       Alcotest.(check bool)
         (ctx "mem") (Ref_replacement.mem model page) (R.mem tracker page);

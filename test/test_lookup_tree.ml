@@ -2,14 +2,14 @@ open Utlb
 
 let test_basic () =
   let t = Lookup_tree.create () in
-  Alcotest.(check (option int)) "miss" None (Lookup_tree.find t 5);
+  Alcotest.(check int) "miss" (-1) (Lookup_tree.find t 5);
   Lookup_tree.set t 5 ~index:17;
-  Alcotest.(check (option int)) "hit" (Some 17) (Lookup_tree.find t 5);
+  Alcotest.(check int) "hit" 17 (Lookup_tree.find t 5);
   Lookup_tree.set t 5 ~index:23;
-  Alcotest.(check (option int)) "overwrite" (Some 23) (Lookup_tree.find t 5);
+  Alcotest.(check int) "overwrite" 23 (Lookup_tree.find t 5);
   Alcotest.(check int) "entries counts once" 1 (Lookup_tree.entries t);
   Lookup_tree.remove t 5;
-  Alcotest.(check (option int)) "removed" None (Lookup_tree.find t 5);
+  Alcotest.(check int) "removed" (-1) (Lookup_tree.find t 5);
   Lookup_tree.remove t 5;
   Alcotest.(check int) "idempotent remove" 0 (Lookup_tree.entries t)
 
@@ -18,14 +18,13 @@ let test_two_level_split () =
   (* Same second-level index, different directories. *)
   Lookup_tree.set t 5 ~index:1;
   Lookup_tree.set t (1024 + 5) ~index:2;
-  Alcotest.(check (option int)) "dir 0" (Some 1) (Lookup_tree.find t 5);
-  Alcotest.(check (option int)) "dir 1" (Some 2) (Lookup_tree.find t 1029)
+  Alcotest.(check int) "dir 0" 1 (Lookup_tree.find t 5);
+  Alcotest.(check int) "dir 1" 2 (Lookup_tree.find t 1029)
 
 let test_bounds () =
   let t = Lookup_tree.create () in
   Lookup_tree.set t Lookup_tree.max_vpn ~index:9;
-  Alcotest.(check (option int)) "max vpn" (Some 9)
-    (Lookup_tree.find t Lookup_tree.max_vpn);
+  Alcotest.(check int) "max vpn" 9 (Lookup_tree.find t Lookup_tree.max_vpn);
   Alcotest.check_raises "beyond max"
     (Invalid_argument "Lookup_tree: vpn out of range") (fun () ->
       ignore (Lookup_tree.find t (Lookup_tree.max_vpn + 1)));
@@ -63,7 +62,7 @@ let prop_model =
         ops;
       Hashtbl.length model = Lookup_tree.entries t
       && Hashtbl.fold
-           (fun vpn index ok -> ok && Lookup_tree.find t vpn = Some index)
+           (fun vpn index ok -> ok && Lookup_tree.find t vpn = index)
            model true)
 
 let suite =

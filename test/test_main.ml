@@ -44,4 +44,5 @@ let () =
       ("verify", Test_verify.suite);
       ("explore", Test_explore.suite);
       ("bound", Test_bound.suite);
+      ("alloc", Test_alloc.suite);
     ]

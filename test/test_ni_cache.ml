@@ -9,10 +9,10 @@ let direct entries = { Ni_cache.entries; associativity = Ni_cache.Direct }
 
 let test_insert_lookup () =
   let c = Ni_cache.create (direct 64) in
-  Alcotest.(check (option int)) "cold miss" None
+  Alcotest.(check int) "cold miss" (-1)
     (Ni_cache.lookup c ~pid:pid0 ~vpn:5);
   ignore (Ni_cache.insert c ~pid:pid0 ~vpn:5 ~frame:99);
-  Alcotest.(check (option int)) "hit" (Some 99)
+  Alcotest.(check int) "hit" 99
     (Ni_cache.lookup c ~pid:pid0 ~vpn:5);
   Alcotest.(check int) "hits" 1 (Ni_cache.hits c);
   Alcotest.(check int) "misses" 1 (Ni_cache.misses c);
@@ -21,7 +21,7 @@ let test_insert_lookup () =
 let test_pid_tagging () =
   let c = Ni_cache.create (direct 64) in
   ignore (Ni_cache.insert c ~pid:pid0 ~vpn:5 ~frame:10);
-  Alcotest.(check (option int)) "other pid misses" None
+  Alcotest.(check int) "other pid misses" (-1)
     (Ni_cache.lookup c ~pid:pid1 ~vpn:5)
 
 let test_direct_nohash_conflict () =
@@ -32,27 +32,26 @@ let test_direct_nohash_conflict () =
       { Ni_cache.entries = 64; associativity = Ni_cache.Direct_nohash }
   in
   ignore (Ni_cache.insert nohash ~pid:pid0 ~vpn:5 ~frame:1);
-  (match Ni_cache.insert nohash ~pid:pid1 ~vpn:5 ~frame:2 with
-  | Some (epid, evpn, _) ->
-    Alcotest.(check int) "evicted pid0's line" 0 (Pid.to_int epid);
-    Alcotest.(check int) "evicted vpn" 5 evpn
-  | None -> Alcotest.fail "nohash should conflict");
+  if not (Ni_cache.insert nohash ~pid:pid1 ~vpn:5 ~frame:2) then
+    Alcotest.fail "nohash should conflict";
+  Alcotest.(check int) "evicted pid0's line" 0
+    (Pid.to_int (Ni_cache.evicted_pid nohash));
+  Alcotest.(check int) "evicted vpn" 5 (Ni_cache.evicted_vpn nohash);
   let offset = Ni_cache.create (direct 64) in
   ignore (Ni_cache.insert offset ~pid:pid0 ~vpn:5 ~frame:1);
   Alcotest.(check bool) "offsetting avoids the conflict" true
-    (Ni_cache.insert offset ~pid:pid1 ~vpn:5 ~frame:2 = None);
-  Alcotest.(check (option int)) "both present" (Some 1)
+    (not (Ni_cache.insert offset ~pid:pid1 ~vpn:5 ~frame:2));
+  Alcotest.(check int) "both present" 1
     (Ni_cache.lookup offset ~pid:pid0 ~vpn:5)
 
 let test_direct_eviction () =
   let c = Ni_cache.create (direct 16) in
   ignore (Ni_cache.insert c ~pid:pid0 ~vpn:3 ~frame:1);
   (* vpn 3+16 maps to the same set in a 16-entry direct cache. *)
-  (match Ni_cache.insert c ~pid:pid0 ~vpn:19 ~frame:2 with
-  | Some (_, evpn, eframe) ->
-    Alcotest.(check int) "evicted vpn" 3 evpn;
-    Alcotest.(check int) "evicted frame" 1 eframe
-  | None -> Alcotest.fail "expected eviction");
+  if not (Ni_cache.insert c ~pid:pid0 ~vpn:19 ~frame:2) then
+    Alcotest.fail "expected eviction";
+  Alcotest.(check int) "evicted vpn" 3 (Ni_cache.evicted_vpn c);
+  Alcotest.(check int) "evicted frame" 1 (Ni_cache.evicted_frame c);
   Alcotest.(check int) "evictions" 1 (Ni_cache.evictions c);
   Alcotest.(check int) "still one line" 1 (Ni_cache.valid_lines c)
 
@@ -63,23 +62,23 @@ let test_two_way_avoids_conflict () =
   (* Two pages mapping to the same set coexist in a 2-way cache. *)
   ignore (Ni_cache.insert c ~pid:pid0 ~vpn:3 ~frame:1);
   Alcotest.(check bool) "no eviction" true
-    (Ni_cache.insert c ~pid:pid0 ~vpn:(3 + 16) ~frame:2 = None);
-  Alcotest.(check (option int)) "first survives" (Some 1)
+    (not (Ni_cache.insert c ~pid:pid0 ~vpn:(3 + 16) ~frame:2));
+  Alcotest.(check int) "first survives" 1
     (Ni_cache.lookup c ~pid:pid0 ~vpn:3);
-  Alcotest.(check (option int)) "second present" (Some 2)
+  Alcotest.(check int) "second present" 2
     (Ni_cache.lookup c ~pid:pid0 ~vpn:19);
   (* A third conflicting page evicts the set's LRU. *)
   ignore (Ni_cache.lookup c ~pid:pid0 ~vpn:19);
-  (match Ni_cache.insert c ~pid:pid0 ~vpn:(3 + 32) ~frame:3 with
-  | Some (_, evpn, _) -> Alcotest.(check int) "evicts set LRU" 3 evpn
-  | None -> Alcotest.fail "expected set eviction")
+  if not (Ni_cache.insert c ~pid:pid0 ~vpn:(3 + 32) ~frame:3) then
+    Alcotest.fail "expected set eviction";
+  Alcotest.(check int) "evicts set LRU" 3 (Ni_cache.evicted_vpn c)
 
 let test_refresh_in_place () =
   let c = Ni_cache.create (direct 16) in
   ignore (Ni_cache.insert c ~pid:pid0 ~vpn:3 ~frame:1);
   Alcotest.(check bool) "refresh evicts nothing" true
-    (Ni_cache.insert c ~pid:pid0 ~vpn:3 ~frame:7 = None);
-  Alcotest.(check (option int)) "new frame" (Some 7)
+    (not (Ni_cache.insert c ~pid:pid0 ~vpn:3 ~frame:7));
+  Alcotest.(check int) "new frame" 7
     (Ni_cache.lookup c ~pid:pid0 ~vpn:3);
   Alcotest.(check int) "one line" 1 (Ni_cache.valid_lines c)
 
@@ -159,7 +158,7 @@ let prop_lookup_after_insert =
       let c = Ni_cache.create (direct 1024) in
       let pid = Pid.of_int p in
       ignore (Ni_cache.insert c ~pid ~vpn ~frame:7);
-      Ni_cache.lookup c ~pid ~vpn = Some 7)
+      Ni_cache.lookup c ~pid ~vpn = 7)
 
 let suite =
   [

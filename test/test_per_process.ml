@@ -8,21 +8,25 @@ let make ?sram ?(entries = 8) ?(policy = Replacement.Lru) () =
     Per_process.create ?sram ~host ~pid:(Pid.of_int 2) ~table_entries:entries
       ~policy ~seed:3L () )
 
+let indices pp ~vpn ~npages =
+  Array.init npages (fun i -> Per_process.index pp ~vpn:(vpn + i))
+
 let test_basic_lookup () =
   let _, pp = make () in
-  let o = Per_process.lookup pp ~vpn:10 ~npages:2 in
-  Alcotest.(check bool) "check miss" true o.Per_process.check_miss;
-  Alcotest.(check int) "pinned" 2 o.Per_process.pages_pinned;
+  Alcotest.(check bool) "check miss" true
+    (Per_process.lookup pp ~vpn:10 ~npages:2);
+  Alcotest.(check int) "pinned" 2 (Per_process.pins pp);
   Alcotest.(check int) "occupancy" 2 (Per_process.occupancy pp);
-  let o2 = Per_process.lookup pp ~vpn:10 ~npages:2 in
-  Alcotest.(check bool) "hit" false o2.Per_process.check_miss;
-  Alcotest.(check (array int)) "same indices" o.Per_process.indices
-    o2.Per_process.indices
+  let first = indices pp ~vpn:10 ~npages:2 in
+  Alcotest.(check bool) "hit" false (Per_process.lookup pp ~vpn:10 ~npages:2);
+  Alcotest.(check int) "nothing more pinned" 2 (Per_process.pins pp);
+  Alcotest.(check (array int)) "same indices" first
+    (indices pp ~vpn:10 ~npages:2)
 
 let test_ni_reads_table () =
   let host, pp = make () in
-  let o = Per_process.lookup pp ~vpn:10 ~npages:1 in
-  let index = o.Per_process.indices.(0) in
+  ignore (Per_process.lookup pp ~vpn:10 ~npages:1);
+  let index = Per_process.index pp ~vpn:10 in
   let frame = Option.get (Per_process.translate_index pp ~index) in
   Alcotest.(check (option int)) "matches the OS translation" (Some frame)
     (Host_memory.translate host (Pid.of_int 2) ~vpn:10)
@@ -51,10 +55,10 @@ let test_fragmentation () =
   let _, pp = make ~entries:8 () in
   ignore (Per_process.lookup pp ~vpn:0 ~npages:1) (* index 0 *);
   ignore (Per_process.lookup pp ~vpn:50 ~npages:1) (* index 1 *);
-  let o = Per_process.lookup pp ~vpn:0 ~npages:2 in
-  (* Page 1 lands on index 2, so the buffer maps to indices [0; 2]. *)
-  Alcotest.(check bool) "fragmented" true (o.Per_process.index_runs > 1);
-  Alcotest.(check (array int)) "indices" [| 0; 2 |] o.Per_process.indices
+  ignore (Per_process.lookup pp ~vpn:0 ~npages:2);
+  (* Page 1 lands on index 2, so the buffer maps to indices [0; 2]:
+     two runs, not one. *)
+  Alcotest.(check (array int)) "indices" [| 0; 2 |] (indices pp ~vpn:0 ~npages:2)
 
 let test_buffer_larger_than_table () =
   let _, pp = make ~entries:4 () in
@@ -69,8 +73,8 @@ let test_sram_backing () =
   (match Utlb_nic.Sram.region sram "pp-utlb-2" with
   | None -> Alcotest.fail "table region missing"
   | Some region ->
-    let o = Per_process.lookup pp ~vpn:3 ~npages:1 in
-    let index = o.Per_process.indices.(0) in
+    ignore (Per_process.lookup pp ~vpn:3 ~npages:1);
+    let index = Per_process.index pp ~vpn:3 in
     let word = Utlb_nic.Sram.read_word sram region index in
     Alcotest.(check (option int)) "SRAM word holds the frame"
       (Some (Int64.to_int word))
@@ -83,10 +87,10 @@ let prop_indices_valid =
       let _, pp = make ~entries:8 () in
       List.for_all
         (fun (vpn, npages) ->
-          let o = Per_process.lookup pp ~vpn ~npages in
+          ignore (Per_process.lookup pp ~vpn ~npages);
           Array.for_all
             (fun index -> Per_process.translate_index pp ~index <> None)
-            o.Per_process.indices)
+            (indices pp ~vpn ~npages))
         lookups)
 
 let suite =

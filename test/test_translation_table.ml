@@ -8,19 +8,18 @@ let make ?sram () =
 
 let test_install_lookup () =
   let t = make () in
-  Alcotest.(check bool) "initially garbage" true
-    (Translation_table.lookup t ~vpn:5 = Translation_table.Garbage);
+  Alcotest.(check int) "initially garbage" Translation_table.garbage_entry
+    (Translation_table.lookup t ~vpn:5);
   Translation_table.install t ~vpn:5 ~frame:42;
-  Alcotest.(check bool) "frame" true
-    (Translation_table.lookup t ~vpn:5 = Translation_table.Frame 42);
+  Alcotest.(check int) "frame" 42 (Translation_table.lookup t ~vpn:5);
   Alcotest.(check int) "valid entries" 1 (Translation_table.valid_entries t)
 
 let test_invalidate () =
   let t = make () in
   Translation_table.install t ~vpn:5 ~frame:42;
   Translation_table.invalidate t ~vpn:5;
-  Alcotest.(check bool) "back to garbage" true
-    (Translation_table.lookup t ~vpn:5 = Translation_table.Garbage);
+  Alcotest.(check int) "back to garbage" Translation_table.garbage_entry
+    (Translation_table.lookup t ~vpn:5);
   Alcotest.(check int) "no valid entries" 0 (Translation_table.valid_entries t);
   (* Invalidating an untouched page is harmless. *)
   Translation_table.invalidate t ~vpn:999;
@@ -31,8 +30,7 @@ let test_reinstall_counts_once () =
   Translation_table.install t ~vpn:5 ~frame:42;
   Translation_table.install t ~vpn:5 ~frame:43;
   Alcotest.(check int) "one valid entry" 1 (Translation_table.valid_entries t);
-  Alcotest.(check bool) "latest frame" true
-    (Translation_table.lookup t ~vpn:5 = Translation_table.Frame 43)
+  Alcotest.(check int) "latest frame" 43 (Translation_table.lookup t ~vpn:5)
 
 let test_second_level_growth () =
   let t = make () in
@@ -48,15 +46,12 @@ let test_swap_out_in () =
   Alcotest.(check bool) "swap out" true
     (Translation_table.swap_out t ~dir_index:0 ~disk_block:55);
   Alcotest.(check int) "swapped count" 1 (Translation_table.swapped_tables t);
-  (match Translation_table.lookup t ~vpn:10 with
-  | Translation_table.Table_swapped block ->
-    Alcotest.(check int) "disk block" 55 block
-  | _ -> Alcotest.fail "expected Table_swapped");
+  Alcotest.(check int) "swapped to disk block 55" (-(55 + 2))
+    (Translation_table.lookup t ~vpn:10);
   Alcotest.(check bool) "swap out twice fails" false
     (Translation_table.swap_out t ~dir_index:0 ~disk_block:56);
   Alcotest.(check bool) "swap in" true (Translation_table.swap_in t ~dir_index:0);
-  Alcotest.(check bool) "entries preserved" true
-    (Translation_table.lookup t ~vpn:10 = Translation_table.Frame 7);
+  Alcotest.(check int) "entries preserved" 7 (Translation_table.lookup t ~vpn:10);
   Alcotest.(check bool) "swap in twice fails" false
     (Translation_table.swap_in t ~dir_index:0)
 
@@ -112,7 +107,7 @@ let prop_model =
       && Hashtbl.fold
            (fun vpn frame ok ->
              ok
-             && Translation_table.lookup t ~vpn = Translation_table.Frame frame)
+             && Translation_table.lookup t ~vpn = frame)
            model true)
 
 let suite =
