@@ -15,8 +15,8 @@
      synth   — build a custom pattern-based workload and compare
                mechanisms on it
 
-   A standalone --verbose anywhere on the command line enables debug
-   logging from the utlb.* log sources. *)
+   Every subcommand takes --verbose, which prints debug lines from the
+   utlb.* log sources on stderr. *)
 
 open Cmdliner
 module Workloads = Utlb_trace.Workloads
@@ -299,6 +299,27 @@ let sanitize_arg =
            shadow checks). Violations are printed after the report and \
            make the command exit 1.")
 
+let verbose_arg =
+  Arg.(
+    value & flag
+    & info [ "verbose" ]
+        ~doc:"Print debug lines from the utlb.* log sources on stderr.")
+
+let setup_logging verbose =
+  Fmt_tty.setup_std_outputs ();
+  Logs.set_reporter (Logs.format_reporter ());
+  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
+
+(* A subcommand whose term sets logging up first: cmdliner evaluates
+   the left operand of [$] before the right one, and evaluating [term]
+   runs the command. *)
+let cmd info term =
+  Cmd.v info
+    Term.(
+      const (fun () result -> result)
+      $ (const setup_logging $ verbose_arg)
+      $ term)
+
 let run_cmd =
   let trace_out_arg =
     Arg.(
@@ -416,7 +437,7 @@ let run_cmd =
         exit 1
       end
   in
-  Cmd.v
+  cmd
     (Cmd.info "run" ~doc:"Simulate one workload and print the full report.")
     Term.(
       const run $ app_opt_arg $ trace_in_arg $ entries_arg $ assoc_arg
@@ -633,7 +654,7 @@ let sweep_cmd =
           by_code;
         exit 1)
   in
-  Cmd.v
+  cmd
     (Cmd.info "sweep"
        ~doc:
          "Run a campaign grid (workloads x mechanisms x config axes) \
@@ -729,7 +750,7 @@ let inspect_cmd =
       if tail > 0 then
         Format.printf "%a@." (Utlb_obs.Export.timeline ~limit:tail) sink
   in
-  Cmd.v
+  cmd
     (Cmd.info "inspect"
        ~doc:
          "Replay one workload/mechanism cell under full observation and \
@@ -754,7 +775,7 @@ let list_cmd =
           w.Workloads.problem_size w.Workloads.description)
       Workloads.all
   in
-  Cmd.v
+  cmd
     (Cmd.info "list"
        ~doc:"List registered mechanisms and calibrated workloads.")
     Term.(const list $ const ())
@@ -774,7 +795,7 @@ let trace_cmd =
       (Trace.footprint_pages trace)
       out
   in
-  Cmd.v
+  cmd
     (Cmd.info "trace" ~doc:"Generate a workload trace file.")
     Term.(const generate $ app_arg $ seed_arg $ out_arg)
 
@@ -800,7 +821,7 @@ let stats_cmd =
             (Utlb_mem.Pid.to_int pid) pages)
         (Trace.per_pid_footprint trace)
   in
-  Cmd.v
+  cmd
     (Cmd.info "stats" ~doc:"Print statistics of a saved trace file.")
     Term.(const stats $ in_arg)
 
@@ -873,7 +894,7 @@ let synth_cmd =
   let passes_arg =
     Arg.(value & opt int 4 & info [ "passes" ] ~docv:"N" ~doc:"Cyclic passes.")
   in
-  Cmd.v
+  cmd
     (Cmd.info "synth"
        ~doc:
          "Build a custom synthetic workload from pattern combinators and           compare mechanisms on it.")
@@ -894,20 +915,12 @@ let analyze_cmd =
       (Utlb_trace.Analysis.hit_ratio_at hist ~entries:4096)
       (Utlb_trace.Analysis.hit_ratio_at hist ~entries:16384)
   in
-  Cmd.v
+  cmd
     (Cmd.info "analyze"
        ~doc:"Locality analysis of a workload: reuse distances, footprints.")
     Term.(const analyze $ app_arg $ seed_arg)
 
-let setup_logging verbose =
-  Fmt_tty.setup_std_outputs ();
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
-
 let () =
-  (* A lone --verbose before the subcommand enables debug logging for
-     every command. *)
-  setup_logging (Array.exists (String.equal "--verbose") Sys.argv);
   let info =
     Cmd.info "utlbsim" ~version:"1.0.0"
       ~doc:"Trace-driven simulator for UTLB address translation."

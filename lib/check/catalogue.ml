@@ -47,8 +47,8 @@ let config_lint =
                observations are silently lost");
     ("UC161", "metric name is not namespaced as component/name");
     ("UC170", "fault-plan spec does not parse (unknown class or bad value)");
-    ("UC171", "fault probability outside [0,1]");
-    ("UC172", "negative fault retry budget or duration");
+    ("UC171", "fault probability outside [0,1] or not a number");
+    ("UC172", "fault retry budget or duration negative, non-finite or past its cap");
     ("UC180", "tenants spec does not parse (bad mode, pid set, or \
                attribute)");
     ("UC181", "tenant pid sets overlap; a process can have only one \

@@ -306,7 +306,7 @@ let lint_faults ?context spec =
     List.map
       (fun (key, problem) ->
         (* [validate] phrases probability problems as "probability ...";
-           everything else is a negative budget or duration. *)
+           everything else is a budget or duration out of range. *)
         let code =
           if String.length problem >= 11
              && String.equal (String.sub problem 0 11) "probability"

@@ -48,8 +48,9 @@
     Fault plans:
     - [UC170] fault spec does not parse (unknown class, malformed
       value);
-    - [UC171] fault probability outside [0,1];
-    - [UC172] negative retry budget or duration. *)
+    - [UC171] fault probability outside [0,1] or not a number;
+    - [UC172] retry budget or duration negative, non-finite or past its
+      cap (1,023 DMA retries, 1e9 µs). *)
 
 val lint_geometry :
   ?context:string -> Utlb.Ni_cache.config -> Finding.t list

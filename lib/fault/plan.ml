@@ -45,20 +45,32 @@ let is_empty t =
 (* Spec grammar: comma- or semicolon-separated KEY=VALUE pairs, e.g.
      dma-fail=0.05,dma-retries=3,cache-invalidate=0.01
    Unknown keys and malformed values are syntax errors; range problems
-   (probability outside [0,1], negative budgets) are reported by
-   [validate] so the linter can list them all with UC17x codes. *)
+   (probability outside [0,1], budgets or durations out of range) are
+   reported by [validate] so the linter can list them all with UC17x
+   codes. *)
 
+(* A [Count] carries the largest budget it accepts: [Injector.backoff_us]
+   doubles per DMA retry, and 2^1024 is already infinite. *)
 type field = Prob of (t -> float) * (t -> float -> t)
-           | Count of (t -> int) * (t -> int -> t)
+           | Count of int * (t -> int) * (t -> int -> t)
            | Micros of (t -> float) * (t -> float -> t)
+
+let max_dma_retries = 1023
+
+(* The longest stall, spike or backoff step a plan may name: 1,000 s of
+   simulated time, far past any modelled fault and far inside the
+   2^62 ns that [Time.of_us] accepts. *)
+let max_duration_us = 1e9
 
 let fields =
   [
     ( "dma-fail",
       Prob ((fun t -> t.dma_fail), fun t v -> { t with dma_fail = v }) );
     ( "dma-retries",
-      Count ((fun t -> t.dma_retries), fun t v -> { t with dma_retries = v })
-    );
+      Count
+        ( max_dma_retries,
+          (fun t -> t.dma_retries),
+          fun t v -> { t with dma_retries = v } ) );
     ( "dma-backoff-us",
       Micros
         ((fun t -> t.dma_backoff_us), fun t v -> { t with dma_backoff_us = v })
@@ -84,8 +96,10 @@ let fields =
     ( "irq-timeout",
       Prob ((fun t -> t.irq_timeout), fun t v -> { t with irq_timeout = v }) );
     ( "irq-retries",
-      Count ((fun t -> t.irq_retries), fun t v -> { t with irq_retries = v })
-    );
+      Count
+        ( max_int,
+          (fun t -> t.irq_retries),
+          fun t v -> { t with irq_retries = v } ) );
   ]
 
 let keys = List.map fst fields
@@ -126,7 +140,7 @@ let parse spec =
                 Error
                   (Printf.sprintf "fault spec: %s=%S is not a number" key
                      value))
-            | Some (Count (_, set)) -> (
+            | Some (Count (_, _, set)) -> (
               match int_of_string_opt value with
               | Some v -> Ok (set t v)
               | None ->
@@ -135,28 +149,32 @@ let parse spec =
                      value)))))
       (Ok empty) chunks
 
-(* Range problems, one (key, complaint) pair each, for UC17x lints. *)
+(* Range problems, one (key, complaint) pair each, for UC17x lints.
+   The float checks are written so that NaN fails them. *)
 let validate t =
   List.concat_map
     (fun (key, field) ->
       match field with
       | Prob (get, _) ->
         let v = get t in
-        if v < 0.0 || v > 1.0 then
-          [
-            ( key,
-              Printf.sprintf "probability %g outside [0,1]" v );
-          ]
-        else []
-      | Count (get, _) ->
+        if v >= 0.0 && v <= 1.0 then []
+        else [ (key, Printf.sprintf "probability %g outside [0,1]" v) ]
+      | Count (most, get, _) ->
         let v = get t in
         if v < 0 then [ (key, Printf.sprintf "negative retry budget %d" v) ]
+        else if v > most then
+          [ (key, Printf.sprintf "retry budget %d above %d" v most) ]
         else []
       | Micros (get, _) ->
         let v = get t in
-        if v < 0.0 then
-          [ (key, Printf.sprintf "negative duration %gus" v) ]
-        else [])
+        if v < 0.0 then [ (key, Printf.sprintf "negative duration %gus" v) ]
+        else if v <= max_duration_us then []
+        else
+          [
+            ( key,
+              Printf.sprintf "duration %gus is not finite or above %gus" v
+                max_duration_us );
+          ])
     fields
 
 let of_string spec =

@@ -55,9 +55,11 @@ val parse : string -> (t, string) result
     linter can report them all. *)
 
 val validate : t -> (string * string) list
-(** [(key, problem)] for every out-of-range field: probabilities
-    outside [[0,1]], negative retry budgets or durations. Empty means
-    the plan is well-formed. *)
+(** [(key, problem)] for every out-of-range field: a probability that is
+    not in [[0,1]] (NaN included), a negative retry budget or more than
+    1,023 DMA retries (the backoff, [2^n - 1] steps, is infinite from
+    1,024 on), a negative duration or one that is not finite or past
+    1e9 µs. Empty means the plan is well-formed. *)
 
 val of_string : string -> (t, string) result
 (** {!parse} followed by {!validate}; the first problem becomes the

@@ -1,17 +1,16 @@
-type event_id = int
+(* An event is its own cancellation handle: [cancel] marks the record
+   and [step] drops a cancelled one when it reaches the top of the
+   queue, so neither looks anything up. Ties at one instant fire in
+   scheduling order because the heap breaks equal keys by insertion. *)
+type state = Pending | Fired | Cancelled
 
-type event = { at : Time.t; id : event_id; action : unit -> unit }
+type event = { at : Time.t; mutable state : state; action : unit -> unit }
+
+type event_id = event
 
 type t = {
   queue : event Heap.t;
-  (* Cancelled-event set as a growable bitset over event ids: ids are
-     dense increasing ints, so a Bytes-backed bit per id replaces the
-     Hashtbl that used to dominate the flat profile. [cancelled] is
-     lazily grown on first cancel past the current capacity; [step]
-     pays a bounds check plus one bit test per pop. *)
-  mutable cancelled : Bytes.t;
   mutable clock : Time.t;
-  mutable next_id : event_id;
   mutable live : int;
   mutable monitor : (now:Time.t -> at:Time.t -> unit) option;
   mutable observer : (now:Time.t -> at:Time.t -> unit) option;
@@ -26,9 +25,7 @@ let no_dispatch_hook ~now:_ ~at:_ = ()
 let create () =
   {
     queue = Heap.create ~cmp:(fun a b -> Time.compare a.at b.at);
-    cancelled = Bytes.empty;
     clock = Time.zero;
-    next_id = 0;
     live = 0;
     monitor = None;
     observer = None;
@@ -57,70 +54,56 @@ let set_dispatch_observer t observer =
 let now t = t.clock
 
 let schedule_at t ~at action =
-  if Time.compare at t.clock < 0 then
+  if Time.(at < t.clock) then
     invalid_arg "Engine.schedule_at: time is in the past";
-  let id = t.next_id in
-  t.next_id <- t.next_id + 1;
-  Heap.push t.queue { at; id; action };
+  let ev = { at; state = Pending; action } in
+  Heap.push t.queue ev;
   t.live <- t.live + 1;
-  id
+  ev
 
 let schedule t ~delay action =
-  if Time.compare delay Time.zero < 0 then
-    invalid_arg "Engine.schedule: negative delay";
+  if Time.(delay < zero) then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~at:(Time.add t.clock delay) action
 
-let is_cancelled t id =
-  let byte = id lsr 3 in
-  byte < Bytes.length t.cancelled
-  && Char.code (Bytes.unsafe_get t.cancelled byte) land (1 lsl (id land 7)) <> 0
-
-let cancel t id =
-  (* Lazy deletion: fired ids are never re-used, so a stale cancel of an
-     already-fired event just leaves a harmless tombstone bit. *)
-  if not (is_cancelled t id) then begin
-    let byte = id lsr 3 in
-    if byte >= Bytes.length t.cancelled then begin
-      let size = max 64 (max (2 * Bytes.length t.cancelled) (byte + 1)) in
-      let grown = Bytes.make size '\000' in
-      Bytes.blit t.cancelled 0 grown 0 (Bytes.length t.cancelled);
-      t.cancelled <- grown
-    end;
-    Bytes.unsafe_set t.cancelled byte
-      (Char.chr (Char.code (Bytes.unsafe_get t.cancelled byte)
-                 lor (1 lsl (id land 7))));
+let cancel t ev =
+  match ev.state with
+  | Pending ->
+    ev.state <- Cancelled;
     t.live <- t.live - 1
+  | Fired | Cancelled -> ()
+
+let pending t = t.live
+
+(* Pops cancelled events off the top; true when a pending one is left
+   there. *)
+let rec pending_top t =
+  (not (Heap.is_empty t.queue))
+  &&
+  match (Heap.peek_exn t.queue).state with
+  | Pending -> true
+  | Fired | Cancelled ->
+    ignore (Heap.pop_exn t.queue);
+    pending_top t
+
+(* Fires the top event, which [pending_top] has just found pending. *)
+let fire t =
+  let ev = Heap.pop_exn t.queue in
+  t.pre_dispatch ~now:t.clock ~at:ev.at;
+  t.clock <- ev.at;
+  ev.state <- Fired;
+  t.live <- t.live - 1;
+  ev.action ()
+
+let step t =
+  pending_top t
+  && begin
+    fire t;
+    true
   end
 
-let pending t = max 0 t.live
-
-let rec step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some ev ->
-    if is_cancelled t ev.id then begin
-      (* Leave the tombstone bit set: the id never fires again, and
-         clearing it would only dirty the byte for no reader. *)
-      step t
-    end
-    else begin
-      t.pre_dispatch ~now:t.clock ~at:ev.at;
-      t.clock <- ev.at;
-      t.live <- t.live - 1;
-      ev.action ();
-      true
-    end
-
 let run ?until t =
-  let continue () =
-    match until, Heap.peek t.queue with
-    | _, None -> false
-    | None, Some _ -> true
-    | Some limit, Some ev -> Time.compare ev.at limit <= 0
-  in
-  while continue () do
-    ignore (step t)
+  let limit = match until with Some limit -> limit | None -> max_int in
+  while pending_top t && Time.((Heap.peek_exn t.queue).at <= limit) do
+    fire t
   done;
-  match until with
-  | Some limit when Time.compare limit t.clock > 0 -> t.clock <- limit
-  | Some _ | None -> ()
+  if Option.is_some until && Time.(t.clock < limit) then t.clock <- limit

@@ -33,8 +33,8 @@ val cancel : t -> event_id -> unit
     cancelled event is a no-op. *)
 
 val pending : t -> int
-(** Number of events still queued (including cancelled tombstones'
-    live peers; cancelled events are not counted). *)
+(** Number of events scheduled that have neither fired nor been
+    cancelled. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Dispatch events in order until the queue drains, or until the clock
@@ -43,7 +43,7 @@ val run : ?until:Time.t -> t -> unit
     is later and was supplied. *)
 
 val step : t -> bool
-(** Fire exactly one event. Returns [false] when the queue is empty. *)
+(** Fire exactly one event. Returns [false] when none is pending. *)
 
 val set_dispatch_monitor : t -> (now:Time.t -> at:Time.t -> unit) option -> unit
 (** Install (or clear) a hook called immediately before each event is

@@ -1,50 +1,58 @@
-(* Entries carry an insertion sequence number so that equal keys pop in
-   FIFO order — a requirement for deterministic event scheduling.
+(* Every value carries an insertion sequence number so that equal keys
+   pop in FIFO order — a requirement for deterministic event
+   scheduling.
 
-   The heap is 4-ary over a flat array: children of [i] live at
+   The heap is 4-ary over flat arrays: children of [i] live at
    [4i+1 .. 4i+4], its parent at [(i-1)/4]. Against the binary layout
    this halves the tree depth (fewer cache-missing levels per sift) at
    the price of up to four child comparisons per sift-down level — a
-   net win for the event queue, whose hot loop is pop-push. The API
-   and observable behaviour are identical; test_heap.ml keeps a seeded
-   differential against a reference binary heap. *)
-type 'a entry = { value : 'a; seq : int }
-
+   net win for the event queue, whose hot loop is pop-push. Values and
+   sequence numbers sit in two parallel arrays, so a push allocates no
+   entry record and [pop_exn]/[peek_exn] return the value itself.
+   test_heap.ml keeps a seeded differential against a reference binary
+   heap. *)
 type 'a t = {
   cmp : 'a -> 'a -> int;
-  mutable data : 'a entry array;
+  mutable values : 'a array;
+  mutable seqs : int array;
   mutable size : int;
   mutable next_seq : int;
 }
 
 let arity = 4
 
-let create ~cmp = { cmp; data = [||]; size = 0; next_seq = 0 }
+let create ~cmp = { cmp; values = [||]; seqs = [||]; size = 0; next_seq = 0 }
 
 let length t = t.size
 
 let is_empty t = t.size = 0
 
-let entry_cmp t a b =
-  let c = t.cmp a.value b.value in
-  if c <> 0 then c else compare a.seq b.seq
+let less t i j =
+  let c = t.cmp t.values.(i) t.values.(j) in
+  c < 0 || (c = 0 && t.seqs.(i) < t.seqs.(j))
 
-let ensure_capacity t =
-  let cap = Array.length t.data in
-  if t.size >= cap then begin
-    let new_cap = max 16 (2 * cap) in
-    let data = Array.make new_cap t.data.(0) in
-    Array.blit t.data 0 data 0 t.size;
-    t.data <- data
-  end
+let swap t i j =
+  let v = t.values.(i) and s = t.seqs.(i) in
+  t.values.(i) <- t.values.(j);
+  t.seqs.(i) <- t.seqs.(j);
+  t.values.(j) <- v;
+  t.seqs.(j) <- s
+
+(* [v] fills the new slots: an ['a array] needs some element, and the
+   one being pushed is at hand. *)
+let grow t v =
+  let cap = max 16 (2 * Array.length t.values) in
+  let values = Array.make cap v and seqs = Array.make cap 0 in
+  Array.blit t.values 0 values 0 t.size;
+  Array.blit t.seqs 0 seqs 0 t.size;
+  t.values <- values;
+  t.seqs <- seqs
 
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / arity in
-    if entry_cmp t t.data.(i) t.data.(parent) < 0 then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
+    if less t i parent then begin
+      swap t i parent;
       sift_up t parent
     end
   end
@@ -55,51 +63,52 @@ let rec sift_down t i =
     let last = min (first + arity - 1) (t.size - 1) in
     let smallest = ref i in
     for c = first to last do
-      if entry_cmp t t.data.(c) t.data.(!smallest) < 0 then smallest := c
+      if less t c !smallest then smallest := c
     done;
     if !smallest <> i then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(!smallest);
-      t.data.(!smallest) <- tmp;
+      swap t i !smallest;
       sift_down t !smallest
     end
   end
 
 let push t v =
-  let e = { value = v; seq = t.next_seq } in
+  if t.size = Array.length t.values then grow t v;
+  t.values.(t.size) <- v;
+  t.seqs.(t.size) <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  if t.size = 0 && Array.length t.data = 0 then t.data <- Array.make 16 e
-  else ensure_capacity t;
-  t.data.(t.size) <- e;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let peek t = if t.size = 0 then None else Some t.data.(0).value
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0).value in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some top
-  end
+let peek_exn t =
+  if t.size = 0 then invalid_arg "Heap.peek_exn: empty heap";
+  t.values.(0)
 
 let pop_exn t =
-  match pop t with
-  | Some v -> v
-  | None -> invalid_arg "Heap.pop_exn: empty heap"
+  if t.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
+  let top = t.values.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.values.(0) <- t.values.(t.size);
+    t.seqs.(0) <- t.seqs.(t.size);
+    sift_down t 0
+  end;
+  top
+
+let peek t = if t.size = 0 then None else Some (peek_exn t)
+
+let pop t = if t.size = 0 then None else Some (pop_exn t)
 
 let clear t =
   t.size <- 0;
-  t.data <- [||]
+  t.values <- [||];
+  t.seqs <- [||]
 
 let to_sorted_list t =
-  let copy = { t with data = Array.sub t.data 0 t.size } in
-  let rec drain acc =
-    match pop copy with None -> List.rev acc | Some v -> drain (v :: acc)
+  let copy =
+    {
+      t with
+      values = Array.sub t.values 0 t.size;
+      seqs = Array.sub t.seqs 0 t.size;
+    }
   in
-  drain []
+  List.init t.size (fun _ -> pop_exn copy)

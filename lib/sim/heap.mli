@@ -1,6 +1,5 @@
-(** Mutable min-heap (4-ary, flat array), used as the event queue of
-    the discrete-event engine and as a victim queue in replacement
-    policies.
+(** Mutable min-heap (4-ary, flat arrays), used as the event queue of
+    the discrete-event engine.
 
     Elements are ordered by a user-supplied comparison fixed at creation.
     Ties are broken by insertion order (FIFO), which matters for the
@@ -21,11 +20,16 @@ val push : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 (** Smallest element without removing it. *)
 
+val peek_exn : 'a t -> 'a
+(** {!peek} without the option, so it allocates nothing.
+    @raise Invalid_argument on an empty heap. *)
+
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
 
 val pop_exn : 'a t -> 'a
-(** @raise Invalid_argument on an empty heap. *)
+(** {!pop} without the option, so it allocates nothing.
+    @raise Invalid_argument on an empty heap. *)
 
 val clear : 'a t -> unit
 

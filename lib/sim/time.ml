@@ -1,29 +1,36 @@
-type t = int64
+type t = int
 
-let zero = 0L
+let zero = 0
 
-let of_ns n = Int64.of_int n
+let of_ns n = n
 
-let of_us x = Int64.of_float (Float.round (x *. 1000.0))
+(* [int_of_float] turns a NaN or an out-of-range float into an
+   arbitrary int (infinity becomes 0), so a bad duration would schedule
+   silently at the wrong instant. [-2^62 <= ns < 2^62] is exactly the
+   range of a 63-bit int, and NaN fails both comparisons. *)
+let of_us x =
+  let ns = Float.round (x *. 1000.0) in
+  if ns >= -0x1p62 && ns < 0x1p62 then int_of_float ns
+  else invalid_arg (Printf.sprintf "Time.of_us: %g us is not a time" x)
 
-let to_us t = Int64.to_float t /. 1000.0
+let to_us t = float_of_int t /. 1000.0
 
-let to_ms t = Int64.to_float t /. 1_000_000.0
+let to_ms t = float_of_int t /. 1_000_000.0
 
-let add = Int64.add
+let add (a : t) b = a + b
 
-let sub = Int64.sub
+let sub (a : t) b = a - b
 
-let compare = Int64.compare
+let compare = Int.compare
 
 let ( + ) = add
 
 let ( - ) = sub
 
-let ( < ) a b = Int64.compare a b < 0
+let ( < ) (a : t) b = a < b
 
-let ( <= ) a b = Int64.compare a b <= 0
+let ( <= ) (a : t) b = a <= b
 
-let max a b = if Int64.compare a b >= 0 then a else b
+let max (a : t) b = if a >= b then a else b
 
 let pp ppf t = Format.fprintf ppf "%.3fus" (to_us t)

@@ -5,15 +5,19 @@
     microseconds with one decimal) exactly representable, so no rounding
     drift accumulates across millions of events. *)
 
-type t = int64
-(** Nanoseconds. Always non-negative in a running simulation. *)
+type t = int
+(** Nanoseconds. Always non-negative in a running simulation. An
+    unboxed [int] (63 bits on the 64-bit hosts this builds for), so no
+    time value allocates. *)
 
 val zero : t
 
 val of_ns : int -> t
 
 val of_us : float -> t
-(** [of_us x] converts microseconds to nanoseconds, rounding to nearest. *)
+(** [of_us x] converts microseconds to nanoseconds, rounding to nearest.
+    @raise Invalid_argument if [x] is NaN, infinite, or too large for a
+    [t]. *)
 
 val to_us : t -> float
 

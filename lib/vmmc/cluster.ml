@@ -395,7 +395,6 @@ let on_command t rt ~pid cmd =
                      let chunk_len =
                        min (page_size - (addr mod page_size)) (total - off)
                      in
-                     let chunk = Bytes.sub data off chunk_len in
                      let last = off + chunk_len >= total in
                      let on_delivered =
                        if last then
@@ -411,17 +410,11 @@ let on_command t rt ~pid cmd =
                        else None
                      in
                      let msg =
-                       Message.Store
-                         {
-                           export_id = m.target.export_id;
-                           key = m.target.key;
-                           offset = m.offset + off;
-                           data = chunk;
-                         }
+                       Message.store_bytes ~export_id:m.target.export_id
+                         ~key:m.target.key ~offset:(m.offset + off) data
+                         ~pos:off ~len:chunk_len
                      in
-                     (match on_delivered with
-                     | Some f -> Channel.send ch ~on_delivered:f (Message.to_bytes msg)
-                     | None -> Channel.send ch (Message.to_bytes msg));
+                     Channel.send ch ?on_delivered msg;
                      ship (off + chunk_len)
                    end
                  in

@@ -17,16 +17,19 @@ let kind_name = function
 (* Layout: 1-byte tag, fixed 32-bit/64-bit little-endian header fields,
    then the variable-length data. *)
 
+let store_bytes ~export_id ~key ~offset data ~pos ~len =
+  let b = Bytes.create (1 + 4 + 4 + 8 + len) in
+  Bytes.set b 0 '\001';
+  Bytes.set_int32_le b 1 (Int32.of_int export_id);
+  Bytes.set_int32_le b 5 (Int32.of_int key);
+  Bytes.set_int64_le b 9 (Int64.of_int offset);
+  Bytes.blit data pos b 17 len;
+  b
+
 let to_bytes t =
   match t with
   | Store { export_id; key; offset; data } ->
-    let b = Bytes.create (1 + 4 + 4 + 8 + Bytes.length data) in
-    Bytes.set b 0 '\001';
-    Bytes.set_int32_le b 1 (Int32.of_int export_id);
-    Bytes.set_int32_le b 5 (Int32.of_int key);
-    Bytes.set_int64_le b 9 (Int64.of_int offset);
-    Bytes.blit data 0 b 17 (Bytes.length data);
-    b
+    store_bytes ~export_id ~key ~offset data ~pos:0 ~len:(Bytes.length data)
   | Fetch_request { req_id; export_id; key; offset; len } ->
     let b = Bytes.create (1 + 4 + 4 + 4 + 8 + 4) in
     Bytes.set b 0 '\002';

@@ -20,6 +20,15 @@ type t =
 
 val to_bytes : t -> bytes
 
+val store_bytes :
+  export_id:int -> key:int -> offset:int -> bytes -> pos:int -> len:int ->
+  bytes
+(** [store_bytes ~export_id ~key ~offset data ~pos ~len] is
+    [to_bytes (Store {export_id; key; offset; data = Bytes.sub data pos
+    len})] without the intermediate copy: the firmware encodes each page
+    chunk straight from its DMA buffer.
+    @raise Invalid_argument if [pos, len] is not a range of [data]. *)
+
 val of_bytes : bytes -> (t, string) result
 
 val kind_name : t -> string

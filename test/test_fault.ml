@@ -50,7 +50,33 @@ let test_plan_validate () =
     | Ok _ -> Alcotest.fail "out-of-range probability accepted");
     Alcotest.(check (list (pair string string)))
       "well-formed plan validates clean" []
-      (Plan.validate (heavy_plan ()))
+      (Plan.validate (heavy_plan ()));
+    (* NaN and infinity pass [< 0] and [> 1] tests, and a DMA budget of
+       1,024 retries prices an infinite backoff: each is a range problem
+       on its own key, linted as UC171 (probability) or UC172. *)
+    List.iter
+      (fun (spec, key, code) ->
+        match Plan.parse spec with
+        | Error e -> Alcotest.fail e
+        | Ok p ->
+          Alcotest.(check (list string)) spec [ key ]
+            (List.map fst (Plan.validate p));
+          Alcotest.(check (list string))
+            (spec ^ " lint") [ code ]
+            (List.map
+               (fun (f : Utlb_check.Finding.t) -> f.code)
+               (Utlb_check.Config_lint.lint_faults spec)))
+      [
+        ("dma-fail=nan", "dma-fail", "UC171");
+        ("net-drop=inf", "net-drop", "UC171");
+        ("dma-spike=1,dma-spike-us=inf", "dma-spike-us", "UC172");
+        ("bus-stall=1,bus-stall-us=1e300", "bus-stall-us", "UC172");
+        ("dma-fail=0.1,dma-backoff-us=nan", "dma-backoff-us", "UC172");
+        ("dma-fail=1,dma-retries=1024", "dma-retries", "UC172");
+      ];
+    match Plan.of_string "dma-fail=1,dma-retries=1023,bus-stall-us=1e9" with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "a plan at both caps is refused: %s" e
 
 (* An injector is a pure function of (seed, plan): the same seed must
    reproduce the same decision stream. *)

@@ -9,7 +9,7 @@ open Utlb_net
 let test_time_pp () =
   Alcotest.(check string) "pp" "12.500us"
     (Format.asprintf "%a" Time.pp (Time.of_us 12.5));
-  Alcotest.(check int64) "max" (Time.of_us 2.0)
+  Alcotest.(check int) "max" (Time.of_us 2.0)
     (Time.max (Time.of_us 1.0) (Time.of_us 2.0))
 
 let test_link_corruption_counter () =
