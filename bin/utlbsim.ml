@@ -114,13 +114,12 @@ let faults_arg =
     & opt (some plan_conv) None
     & info [ "faults" ] ~docv:"SPEC"
         ~doc:
-          "Fault-injection plan: comma-separated KEY=VALUE pairs, e.g. \
-           $(b,dma-fail=0.05,dma-retries=3,table-swap=0.01). Keys: \
-           dma-fail, dma-retries, dma-backoff-us, dma-spike, \
-           dma-spike-us, bus-stall, bus-stall-us, net-drop, net-dup, \
-           cache-invalidate, table-swap, irq-timeout, irq-retries. \
-           Injection is deterministic in the seed; recoveries are \
-           counted in the report.")
+          (Printf.sprintf
+             "Fault-injection plan: comma-separated KEY=VALUE pairs, e.g. \
+              $(b,dma-fail=0.05,dma-retries=3,table-swap=0.01). Keys: %s. \
+              Injection is deterministic in the seed; recoveries are \
+              counted in the report."
+             (String.concat ", " Utlb_fault.Plan.keys)))
 
 (* --tenants carries the raw spec: the conv validates it eagerly (so a
    bad spec fails argument parsing, with the grammar in the message)

@@ -57,7 +57,8 @@ let slo_of_string spec =
               match (String.trim key, String.trim value) with
               | "lat_us", v -> (
                 match float_of_string_opt v with
-                | Some f when f >= 0. -> Ok { slo with lat_us = Some f }
+                | Some f when f >= 0. && Float.is_finite f ->
+                  Ok { slo with lat_us = Some f }
                 | _ ->
                   Error
                     (Printf.sprintf
@@ -116,21 +117,16 @@ let retry_ceiling_us = 1_000_000.
 
 (* Worst-case surcharge one NI miss walk absorbs from the fault plan:
    the full exponential backoff chain of a failing entry-fetch DMA
-   (Injector.backoff_us summed over the retry budget), the
-   interrupt-path fallback once the budget is exhausted, one latency
-   spike, one bus stall, one spurious invalidation (a forced second
+   over the whole retry budget, the interrupt-path fallback once the
+   budget is exhausted, one spurious invalidation (a forced second
    walk), and one table swap-in (an interrupt plus the re-walk). *)
 let walk_fault_us model (p : Plan.t) ~walk_base =
   let active prob = prob > 0. in
   (if active p.dma_fail then
-     (if p.dma_retries > 0 then
-        p.dma_backoff_us *. (Float.ldexp 1. p.dma_retries -. 1.)
-      else 0.)
+     Plan.backoff_us p ~attempts:p.dma_retries
      +. Cost_model.intr_us model
      +. Cost_model.kernel_pin_us model
    else 0.)
-  +. (if active p.dma_spike then p.dma_spike_us else 0.)
-  +. (if active p.bus_stall then p.bus_stall_us else 0.)
   +. (if active p.cache_invalidate then walk_base else 0.)
   +. if active p.table_swap then Cost_model.intr_us model +. walk_base else 0.
 

@@ -46,7 +46,8 @@ val no_slo : slo
 
 val slo_of_string : string -> (slo, string) result
 (** Parse ["lat_us<=N,pinned<=M"] (comma- or semicolon-separated;
-    either key may be omitted). *)
+    either key may be omitted). [N] must be a finite non-negative
+    number: an infinite budget could never fire. *)
 
 val slo_to_string : slo -> string
 

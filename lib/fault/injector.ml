@@ -9,43 +9,23 @@ module Rng = Utlb_sim.Rng
    randomness. An injector built from [Plan.empty] therefore leaves
    every simulation bit-for-bit identical to one with no injector. *)
 
-type klass =
-  | Dma_fail
-  | Dma_spike
-  | Bus_stall
-  | Net_drop
-  | Net_dup
-  | Cache_invalidate
-  | Table_swap
-  | Irq_timeout
+type klass = Dma_fail | Cache_invalidate | Table_swap | Irq_timeout
 
-let n_classes = 8
+let n_classes = 4
 
 let class_index = function
   | Dma_fail -> 0
-  | Dma_spike -> 1
-  | Bus_stall -> 2
-  | Net_drop -> 3
-  | Net_dup -> 4
-  | Cache_invalidate -> 5
-  | Table_swap -> 6
-  | Irq_timeout -> 7
+  | Cache_invalidate -> 1
+  | Table_swap -> 2
+  | Irq_timeout -> 3
 
 let class_name = function
   | Dma_fail -> "dma-fail"
-  | Dma_spike -> "dma-spike"
-  | Bus_stall -> "bus-stall"
-  | Net_drop -> "net-drop"
-  | Net_dup -> "net-dup"
   | Cache_invalidate -> "cache-invalidate"
   | Table_swap -> "table-swap"
   | Irq_timeout -> "irq-timeout"
 
-let all_classes =
-  [
-    Dma_fail; Dma_spike; Bus_stall; Net_drop; Net_dup; Cache_invalidate;
-    Table_swap; Irq_timeout;
-  ]
+let all_classes = [ Dma_fail; Cache_invalidate; Table_swap; Irq_timeout ]
 
 type t = {
   plan : Plan.t;
@@ -59,17 +39,6 @@ let create ?(seed = 0xFA17L) plan =
 
 let plan t = t.plan
 
-(* A derived injector: same plan, independent stream, fresh counters.
-   Used to give each node of a cluster (or each campaign cell) its own
-   deterministic fault sequence. *)
-let split t =
-  {
-    plan = t.plan;
-    rng = Rng.split t.rng;
-    injected = Array.make n_classes 0;
-    recoveries = 0;
-  }
-
 (* p = 0.0 short-circuits WITHOUT touching the rng: see the
    determinism contract above. *)
 let roll t p = p > 0.0 && Rng.float t.rng 1.0 < p
@@ -81,23 +50,9 @@ let strike t klass p =
   if hit then note t klass;
   hit
 
-let dma_spike_us t =
-  if strike t Dma_spike t.plan.Plan.dma_spike then t.plan.Plan.dma_spike_us
-  else 0.0
-
-let bus_stall_us t =
-  if strike t Bus_stall t.plan.Plan.bus_stall then t.plan.Plan.bus_stall_us
-  else 0.0
-
-let net_drop t = strike t Net_drop t.plan.Plan.net_drop
-
-let net_dup t = strike t Net_dup t.plan.Plan.net_dup
-
 let cache_invalidate t = strike t Cache_invalidate t.plan.Plan.cache_invalidate
 
 let table_swap t = strike t Table_swap t.plan.Plan.table_swap
-
-let irq_timeout t = strike t Irq_timeout t.plan.Plan.irq_timeout
 
 (* Timed-out deliveries before one interrupt lands: each issue rolls
    the irq-timeout class independently, bounded by the re-issue budget
@@ -130,13 +85,6 @@ let dma_attempts t =
     in
     go 0
   end
-
-(* Exponential backoff paid after [attempts] failed tries:
-   base * (2^attempts - 1), the classic doubling series, in floats: an
-   int [1 lsl attempts] wraps negative from 62 attempts on. *)
-let backoff_us t ~attempts =
-  if attempts <= 0 then 0.0
-  else t.plan.Plan.dma_backoff_us *. (Float.ldexp 1.0 attempts -. 1.0)
 
 let note_recovery t = t.recoveries <- t.recoveries + 1
 

@@ -1,9 +1,9 @@
 (** The imperative half of the fault plane.
 
     An injector pairs a {!Plan} with a private deterministic random
-    stream and per-class injection counters. Substrate layers and
-    engines ask it questions ("does this DMA fetch fail?", "does this
-    line get invalidated?") and record recoveries back into it.
+    stream and per-class injection counters. The translation engines
+    ask it questions ("does this DMA fetch fail?", "does this line get
+    invalidated?") and record recoveries back into it.
 
     Determinism contract: a fault class with probability 0.0 consumes
     no randomness, so an injector built from {!Plan.empty} leaves the
@@ -12,15 +12,7 @@
     byte-identical serial/parallel campaigns (each cell gets its own
     seeded injector). *)
 
-type klass =
-  | Dma_fail
-  | Dma_spike
-  | Bus_stall
-  | Net_drop
-  | Net_dup
-  | Cache_invalidate
-  | Table_swap
-  | Irq_timeout
+type klass = Dma_fail | Cache_invalidate | Table_swap | Irq_timeout
 
 val class_name : klass -> string
 
@@ -32,33 +24,15 @@ val create : ?seed:int64 -> Plan.t -> t
 
 val plan : t -> Plan.t
 
-val split : t -> t
-(** Derived injector: same plan, independent stream, fresh counters. *)
-
 val dma_attempts : t -> int option
 (** One DMA entry fetch under the plan. [Some 0]: clean. [Some k]:
-    succeeded after [k] injected failures (pay [backoff_us] and retry
-    accounting). [None]: the retry budget is exhausted — fall back to
-    the interrupt path. *)
-
-val backoff_us : t -> attempts:int -> float
-(** Exponential backoff paid for [attempts] failed tries:
-    [dma_backoff_us * (2^attempts - 1)]. *)
-
-val dma_spike_us : t -> float
-(** 0.0, or the configured spike latency when the spike fires. *)
-
-val bus_stall_us : t -> float
-
-val net_drop : t -> bool
-
-val net_dup : t -> bool
+    succeeded after [k] injected failures, whose backoff is
+    {!Plan.backoff_us}. [None]: the retry budget is exhausted — fall
+    back to the interrupt path. *)
 
 val cache_invalidate : t -> bool
 
 val table_swap : t -> bool
-
-val irq_timeout : t -> bool
 
 val irq_reissues : t -> int
 (** Timed-out deliveries before one interrupt lands (0 when nothing

@@ -8,12 +8,6 @@ type t = {
   dma_fail : float;
   dma_retries : int;
   dma_backoff_us : float;
-  dma_spike : float;
-  dma_spike_us : float;
-  bus_stall : float;
-  bus_stall_us : float;
-  net_drop : float;
-  net_dup : float;
   cache_invalidate : float;
   table_swap : float;
   irq_timeout : float;
@@ -25,12 +19,6 @@ let empty =
     dma_fail = 0.0;
     dma_retries = 3;
     dma_backoff_us = 2.0;
-    dma_spike = 0.0;
-    dma_spike_us = 50.0;
-    bus_stall = 0.0;
-    bus_stall_us = 20.0;
-    net_drop = 0.0;
-    net_dup = 0.0;
     cache_invalidate = 0.0;
     table_swap = 0.0;
     irq_timeout = 0.0;
@@ -38,9 +26,15 @@ let empty =
   }
 
 let is_empty t =
-  t.dma_fail = 0.0 && t.dma_spike = 0.0 && t.bus_stall = 0.0
-  && t.net_drop = 0.0 && t.net_dup = 0.0 && t.cache_invalidate = 0.0
-  && t.table_swap = 0.0 && t.irq_timeout = 0.0
+  t.dma_fail = 0.0 && t.cache_invalidate = 0.0 && t.table_swap = 0.0
+  && t.irq_timeout = 0.0
+
+(* Exponential backoff paid after [attempts] failed tries:
+   base * (2^attempts - 1), the classic doubling series, in floats: an
+   int [1 lsl attempts] wraps negative from 62 attempts on. *)
+let backoff_us t ~attempts =
+  if attempts <= 0 then 0.0
+  else t.dma_backoff_us *. (Float.ldexp 1.0 attempts -. 1.0)
 
 (* Spec grammar: comma- or semicolon-separated KEY=VALUE pairs, e.g.
      dma-fail=0.05,dma-retries=3,cache-invalidate=0.01
@@ -49,7 +43,7 @@ let is_empty t =
    reported by [validate] so the linter can list them all with UC17x
    codes. *)
 
-(* A [Count] carries the largest budget it accepts: [Injector.backoff_us]
+(* A [Count] carries the largest budget it accepts: [backoff_us]
    doubles per DMA retry, and 2^1024 is already infinite. *)
 type field = Prob of (t -> float) * (t -> float -> t)
            | Count of int * (t -> int) * (t -> int -> t)
@@ -57,9 +51,9 @@ type field = Prob of (t -> float) * (t -> float -> t)
 
 let max_dma_retries = 1023
 
-(* The longest stall, spike or backoff step a plan may name: 1,000 s of
-   simulated time, far past any modelled fault and far inside the
-   2^62 ns that [Time.of_us] accepts. *)
+(* The longest backoff step a plan may name: 1,000 s of simulated
+   time, far past any modelled fault and far inside the 2^62 ns that
+   [Time.of_us] accepts. *)
 let max_duration_us = 1e9
 
 let fields =
@@ -75,18 +69,6 @@ let fields =
       Micros
         ((fun t -> t.dma_backoff_us), fun t v -> { t with dma_backoff_us = v })
     );
-    ( "dma-spike",
-      Prob ((fun t -> t.dma_spike), fun t v -> { t with dma_spike = v }) );
-    ( "dma-spike-us",
-      Micros ((fun t -> t.dma_spike_us), fun t v -> { t with dma_spike_us = v })
-    );
-    ( "bus-stall",
-      Prob ((fun t -> t.bus_stall), fun t v -> { t with bus_stall = v }) );
-    ( "bus-stall-us",
-      Micros ((fun t -> t.bus_stall_us), fun t v -> { t with bus_stall_us = v })
-    );
-    ("net-drop", Prob ((fun t -> t.net_drop), fun t v -> { t with net_drop = v }));
-    ("net-dup", Prob ((fun t -> t.net_dup), fun t v -> { t with net_dup = v }));
     ( "cache-invalidate",
       Prob
         ( (fun t -> t.cache_invalidate),
@@ -197,16 +179,6 @@ let to_string t =
       (if t.dma_fail > 0.0 then
          Some (Printf.sprintf "dma-backoff-us=%g" t.dma_backoff_us)
        else None);
-      prob "dma-spike" t.dma_spike;
-      (if t.dma_spike > 0.0 then
-         Some (Printf.sprintf "dma-spike-us=%g" t.dma_spike_us)
-       else None);
-      prob "bus-stall" t.bus_stall;
-      (if t.bus_stall > 0.0 then
-         Some (Printf.sprintf "bus-stall-us=%g" t.bus_stall_us)
-       else None);
-      prob "net-drop" t.net_drop;
-      prob "net-dup" t.net_dup;
       prob "cache-invalidate" t.cache_invalidate;
       prob "table-swap" t.table_swap;
       prob "irq-timeout" t.irq_timeout;

@@ -15,13 +15,6 @@ let no_faults =
     duplicate_probability = 0.0;
   }
 
-let fault_model_of_plan plan =
-  {
-    drop_probability = plan.Utlb_fault.Plan.net_drop;
-    corrupt_probability = 0.0;
-    duplicate_probability = plan.Utlb_fault.Plan.net_dup;
-  }
-
 let fault_model_active f =
   f.drop_probability > 0.0
   || f.corrupt_probability > 0.0

@@ -2,9 +2,13 @@
 
     Models one Myrinet cable direction: 160 MB/s serialisation, fixed
     propagation delay, FIFO ordering, and optional fault injection
-    (packet drop and payload corruption with configured probabilities).
-    Packets serialise back-to-back: a packet offered while the link is
-    still transmitting queues behind it. *)
+    (packet drop, payload corruption and duplication with configured
+    probabilities). Packets serialise back-to-back: a packet offered
+    while the link is still transmitting queues behind it.
+
+    A VMMC cluster sets one fault model for all its links through
+    [Cluster.config.faults]; the [--faults] plan of the translation
+    engines does not reach the network. *)
 
 type t
 
@@ -18,11 +22,6 @@ type fault_model = {
 }
 
 val no_faults : fault_model
-
-val fault_model_of_plan : Utlb_fault.Plan.t -> fault_model
-(** Project the network classes of a fault plan ([net-drop],
-    [net-dup]) onto a link fault model; corruption is not part of the
-    plan vocabulary and maps to 0. *)
 
 val fault_model_active : fault_model -> bool
 (** True when any probability is non-zero (an rng is then required). *)

@@ -2,33 +2,24 @@ module Time = Utlb_sim.Time
 module Engine = Utlb_sim.Engine
 module Probe = Utlb_obs.Probe
 module Ev = Utlb_obs.Event
-module Injector = Utlb_fault.Injector
 
 type t = {
   bus : Io_bus.t;
-  mutable entry_transfers : int;
   mutable data_transfers : int;
   mutable bytes_moved : int;
-  mutable retried_transfers : int;
-  mutable failed_transfers : int;
   mutable frame_guard : (frame:int -> unit) option;
   mutable probe : Probe.t;
   mutable probe_pid : int;
-  mutable faults : Injector.t option;
 }
 
 let create bus =
   {
     bus;
-    entry_transfers = 0;
     data_transfers = 0;
     bytes_moved = 0;
-    retried_transfers = 0;
-    failed_transfers = 0;
     frame_guard = None;
     probe = Probe.null;
     probe_pid = 0;
-    faults = None;
   }
 
 let bus t = t.bus
@@ -39,23 +30,21 @@ let set_obs t ?(pid = 0) scope =
   t.probe <- Probe.of_scope_opt scope;
   t.probe_pid <- pid
 
-let set_faults t faults = t.faults <- faults
-
 (* Emit the begin half of a DMA span at the instant the bus will grant
    the transfer (call just before [Io_bus.submit], which advances
    [busy_until]); then the end half at the completion instant (call
    just after). *)
-let observe_begin t kind ~count =
+let observe_begin t ~count =
   if t.probe.Probe.active then begin
     let engine = Io_bus.engine t.bus in
     let start = Time.max (Engine.now engine) (Io_bus.busy_until t.bus) in
-    t.probe.Probe.emit_at kind ~at_us:(Time.to_us start) ~pid:t.probe_pid
-      ~vpn:Probe.no_vpn ~count
+    t.probe.Probe.emit_at Ev.Dma_data_start ~at_us:(Time.to_us start)
+      ~pid:t.probe_pid ~vpn:Probe.no_vpn ~count
   end
 
-let observe_end t kind ~count =
+let observe_end t ~count =
   if t.probe.Probe.active then
-    t.probe.Probe.emit_at kind
+    t.probe.Probe.emit_at Ev.Dma_data_end
       ~at_us:(Time.to_us (Io_bus.busy_until t.bus))
       ~pid:t.probe_pid ~vpn:Probe.no_vpn ~count
 
@@ -64,99 +53,31 @@ let guard_frames t frames =
   | None -> ()
   | Some guard -> Array.iter (fun frame -> guard ~frame) frames
 
-let fetch_entries ?on_fail t ~count ~on_done ~read =
-  let base = Io_bus.entry_fetch_cost t.bus ~entries:count in
-  (* Consult the fault plane before touching the bus: how many injected
-     failures does this fetch absorb, and does a latency spike fire?
-     With no injector both answers are free (no rng is consumed). *)
-  let attempts, spike_us =
-    match t.faults with
-    | None -> (Some 0, 0.0)
-    | Some inj -> (Injector.dma_attempts inj, Injector.dma_spike_us inj)
-  in
-  if spike_us > 0.0 then observe_begin t Ev.Fault_inject ~count:0;
-  let deliver ~extra_us ~recovered =
-    let cost = Time.add base (Time.of_us (spike_us +. extra_us)) in
-    t.entry_transfers <- t.entry_transfers + 1;
-    observe_begin t Ev.Dma_fetch_start ~count;
-    Io_bus.submit t.bus ~cost (fun () -> on_done (Array.init count read));
-    observe_end t Ev.Dma_fetch_end ~count;
-    if recovered then observe_end t Ev.Fault_recover ~count:0
-  in
-  (match attempts with
-  | Some 0 -> deliver ~extra_us:0.0 ~recovered:false
-  | Some failed ->
-    (* Recovered: [failed] attempts were lost and re-issued, separated
-       by exponential backoff; the transfer then completed. *)
-    let inj = Option.get t.faults in
-    t.retried_transfers <- t.retried_transfers + 1;
-    observe_begin t Ev.Fault_inject ~count:0;
-    observe_begin t Ev.Fault_retry ~count:failed;
-    Injector.note_recovery inj;
-    let extra_us =
-      (Time.to_us base *. float_of_int failed)
-      +. Injector.backoff_us inj ~attempts:failed
-    in
-    deliver ~extra_us ~recovered:true
-  | None -> (
-    (* The whole retry budget burned. The bus was occupied for every
-       attempt plus backoff; the entries never arrive. *)
-    let inj = Option.get t.faults in
-    let retries = max 0 (Injector.plan inj).Utlb_fault.Plan.dma_retries in
-    t.failed_transfers <- t.failed_transfers + 1;
-    observe_begin t Ev.Fault_inject ~count:0;
-    observe_begin t Ev.Fault_retry ~count:retries;
-    let burned_us =
-      (Time.to_us base *. float_of_int (1 + retries))
-      +. Injector.backoff_us inj ~attempts:retries
-      +. spike_us
-    in
-    match on_fail with
-    | Some fail -> Io_bus.submit t.bus ~cost:(Time.of_us burned_us) fail
-    | None ->
-      (* No failure continuation: degrade gracefully by completing the
-         fetch after the burned budget instead of dropping it. *)
-      Injector.note_recovery inj;
-      t.entry_transfers <- t.entry_transfers + 1;
-      observe_begin t Ev.Dma_fetch_start ~count;
-      Io_bus.submit t.bus
-        ~cost:(Time.of_us (burned_us +. Time.to_us base))
-        (fun () -> on_done (Array.init count read));
-      observe_end t Ev.Dma_fetch_end ~count;
-      observe_end t Ev.Fault_recover ~count:0));
-  t.probe.Probe.flush ()
-
 let host_to_nic ?(frames = [||]) t ~src ~len ~on_done =
   if len < 0 then invalid_arg "Dma.host_to_nic: negative length";
   guard_frames t frames;
-  let cost = Io_bus.data_cost t.bus ~bytes:len in
+  let cost = Io_bus.data_cost ~bytes:len in
   t.data_transfers <- t.data_transfers + 1;
   t.bytes_moved <- t.bytes_moved + len;
-  observe_begin t Ev.Dma_data_start ~count:len;
+  observe_begin t ~count:len;
   Io_bus.submit t.bus ~cost (fun () ->
       let data = src () in
       if Bytes.length data <> len then
         invalid_arg "Dma.host_to_nic: source length mismatch";
       on_done data);
-  observe_end t Ev.Dma_data_end ~count:len;
+  observe_end t ~count:len;
   t.probe.Probe.flush ()
 
 let nic_to_host ?(frames = [||]) t ~data ~on_done =
   guard_frames t frames;
   let len = Bytes.length data in
-  let cost = Io_bus.data_cost t.bus ~bytes:len in
+  let cost = Io_bus.data_cost ~bytes:len in
   t.data_transfers <- t.data_transfers + 1;
   t.bytes_moved <- t.bytes_moved + len;
-  observe_begin t Ev.Dma_data_start ~count:len;
+  observe_begin t ~count:len;
   Io_bus.submit t.bus ~cost (fun () -> on_done data);
-  observe_end t Ev.Dma_data_end ~count:len;
+  observe_end t ~count:len;
   t.probe.Probe.flush ()
-
-let entry_transfers t = t.entry_transfers
-
-let retried_transfers t = t.retried_transfers
-
-let failed_transfers t = t.failed_transfers
 
 let data_transfers t = t.data_transfers
 

@@ -1,14 +1,9 @@
 (** The NI DMA engine.
 
-    Two operation classes, matching the two ways the paper's firmware
-    uses DMA:
-
-    - {!fetch_entries}: pull [n] consecutive translation entries from a
-      host-resident UTLB page table into the NI (the Shared UTLB-Cache
-      miss/prefetch path, Table 2 costs);
-    - {!host_to_nic} / {!nic_to_host}: bulk data movement between pinned
-      host pages and SRAM staging buffers (the actual message payload
-      path).
+    Bulk data movement between pinned host pages and SRAM staging
+    buffers ({!host_to_nic} / {!nic_to_host}): the message payload path.
+    The Shared UTLB-Cache's translation-entry fetch (Table 2) is priced
+    by [Utlb.Cost_model] inside the engines, not modelled here.
 
     Completions are delivered through the event engine; the DMA engine
     shares the I/O bus, so overlapping transfers serialise. *)
@@ -18,27 +13,6 @@ type t
 val create : Io_bus.t -> t
 
 val bus : t -> Io_bus.t
-
-val fetch_entries :
-  ?on_fail:(unit -> unit) ->
-  t ->
-  count:int ->
-  on_done:(int64 array -> unit) ->
-  read:(int -> int64) ->
-  unit
-(** [fetch_entries t ~count ~on_done ~read] reads entries
-    [read 0 .. read (count-1)] from host memory with one bus
-    transaction, then delivers them. The [read] functions run at
-    completion time, modelling the host-memory snapshot the DMA sees.
-
-    Under an installed fault injector ({!set_faults}) the fetch may
-    absorb injected failures: each failed attempt re-issues the
-    transfer after exponential backoff (extra bus occupancy), and a
-    fetch that survives the retry budget completes normally. If the
-    whole budget burns, [on_fail] (when given) is scheduled at the
-    instant the budget is exhausted and [on_done] never runs — the
-    caller's interrupt-path fallback; without [on_fail] the fetch
-    degrades to completing after the burned budget. *)
 
 val host_to_nic :
   ?frames:int array ->
@@ -60,11 +34,10 @@ val nic_to_host :
 
 val set_obs : t -> ?pid:int -> Utlb_obs.Scope.t option -> unit
 (** Install (or clear) an observability scope. Every transfer then
-    emits a begin/end span ([Dma_fetch_start]/[Dma_fetch_end] with
-    [count] = entries for {!fetch_entries},
-    [Dma_data_start]/[Dma_data_end] with [count] = bytes for the bulk
-    paths) covering exactly the bus window the transfer occupies.
-    [pid] (default 0) attributes the spans, e.g. to a node id. *)
+    emits a begin/end span ([Dma_data_start]/[Dma_data_end] with
+    [count] = bytes) covering exactly the bus window the transfer
+    occupies. [pid] (default 0) attributes the spans, e.g. to a node
+    id. *)
 
 val set_frame_guard : t -> (frame:int -> unit) option -> unit
 (** Install (or clear) a sanitizer guard consulted with every frame a
@@ -72,20 +45,6 @@ val set_frame_guard : t -> (frame:int -> unit) option -> unit
     violation when the frame is the pinned garbage frame or is not
     currently pinned — the safety property of the paper's Section 3.4
     that the NI never moves data through an unpinned page. *)
-
-val set_faults : t -> Utlb_fault.Injector.t option -> unit
-(** Install (or clear) a fault injector driving {!fetch_entries}'s
-    [dma-fail]/[dma-spike] classes. Clean transfers consume no
-    randomness when the corresponding probabilities are 0. *)
-
-val entry_transfers : t -> int
-
-val retried_transfers : t -> int
-(** Entry fetches that absorbed at least one injected failure but
-    recovered within the retry budget. *)
-
-val failed_transfers : t -> int
-(** Entry fetches whose whole retry budget burned. *)
 
 val data_transfers : t -> int
 

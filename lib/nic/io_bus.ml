@@ -1,50 +1,29 @@
 module Time = Utlb_sim.Time
 module Engine = Utlb_sim.Engine
-module Cost_table = Utlb_sim.Cost_table
 module Probe = Utlb_obs.Probe
 module Ev = Utlb_obs.Event
-module Injector = Utlb_fault.Injector
 
-type config = {
-  entry_fetch : Cost_table.t;
-  dma_setup_us : float;
-  bandwidth_mb_per_s : float;
-}
+(* Paper values: 1.0 us DMA setup, 127 MB/s sustained PCI bandwidth. *)
+let dma_setup_us = 1.0
 
-let default_config =
-  {
-    (* Paper Table 2, "DMA cost" row: microseconds to fetch n entries. *)
-    entry_fetch =
-      Cost_table.create
-        [ (1, 1.5); (2, 1.6); (4, 1.6); (8, 1.9); (16, 2.1); (32, 2.5) ];
-    dma_setup_us = 1.0;
-    bandwidth_mb_per_s = 127.0;
-  }
+let bandwidth_mb_per_s = 127.0
 
 type t = {
   engine : Engine.t;
-  config : config;
   mutable busy_until : Time.t;
   mutable transactions : int;
-  mutable stalls : int;
   mutable probe : Probe.t;
   mutable probe_pid : int;
-  mutable faults : Injector.t option;
 }
 
-let create ?(config = default_config) engine =
+let create engine =
   {
     engine;
-    config;
     busy_until = Time.zero;
     transactions = 0;
-    stalls = 0;
     probe = Probe.null;
     probe_pid = 0;
-    faults = None;
   }
-
-let config t = t.config
 
 let engine t = t.engine
 
@@ -52,37 +31,14 @@ let set_obs t ?(pid = 0) scope =
   t.probe <- Probe.of_scope_opt scope;
   t.probe_pid <- pid
 
-let set_faults t faults = t.faults <- faults
-
-let entry_fetch_cost t ~entries =
-  if entries < 1 then invalid_arg "Io_bus.entry_fetch_cost: entries < 1";
-  Time.of_us (Cost_table.eval t.config.entry_fetch entries)
-
-let data_cost t ~bytes =
+let data_cost ~bytes =
   if bytes < 0 then invalid_arg "Io_bus.data_cost: negative length";
-  let transfer_us =
-    float_of_int bytes /. (t.config.bandwidth_mb_per_s *. 1e6) *. 1e6
-  in
-  Time.of_us (t.config.dma_setup_us +. transfer_us)
+  let transfer_us = float_of_int bytes /. (bandwidth_mb_per_s *. 1e6) *. 1e6 in
+  Time.of_us (dma_setup_us +. transfer_us)
 
 let submit t ~cost k =
   let now = Engine.now t.engine in
   let start = Time.max now t.busy_until in
-  (* An injected arbitration stall lengthens this transaction's bus
-     occupancy; FIFO order and eventual completion are unaffected. *)
-  let cost =
-    match t.faults with
-    | None -> cost
-    | Some inj ->
-      let stall = Injector.bus_stall_us inj in
-      if stall <= 0.0 then cost
-      else begin
-        t.stalls <- t.stalls + 1;
-        t.probe.Probe.emit_at Ev.Fault_inject ~at_us:(Time.to_us start)
-          ~pid:t.probe_pid ~vpn:Probe.no_vpn ~count:Probe.no_count;
-        Time.add cost (Time.of_us stall)
-      end
-  in
   let finish = Time.add start cost in
   t.busy_until <- finish;
   t.transactions <- t.transactions + 1;
@@ -99,5 +55,3 @@ let submit t ~cost k =
 let busy_until t = t.busy_until
 
 let transactions t = t.transactions
-
-let stalls t = t.stalls

@@ -1,31 +1,18 @@
 (** The host I/O bus (PCI in the paper's PCs).
 
-    Carries two kinds of traffic the UTLB cares about:
-    - small translation-entry reads issued by the NI on a Shared
-      UTLB-Cache miss (cost curve of the paper's Table 2), and
-    - bulk data DMA between host DRAM and NI SRAM.
+    Carries the bulk data DMA between host DRAM and NI SRAM. A transfer
+    costs a fixed 1.0 µs setup plus its bytes at 127 MB/s, the paper's
+    sustained PCI bandwidth. The Table-2 translation-entry fetch is
+    priced by [Utlb.Cost_model], not here.
 
-    Costs are returned as {!Utlb_sim.Time.t}; callers either add them to
-    analytic totals or schedule completions on the event engine. The bus
-    serialises transactions: when used with an engine, a transaction
-    issued while the bus is busy queues behind the current one. *)
+    Costs are returned as {!Utlb_sim.Time.t}; callers schedule
+    completions on the event engine. The bus serialises transactions:
+    a transaction issued while the bus is busy queues behind the
+    current one. *)
 
 type t
 
-type config = {
-  entry_fetch : Utlb_sim.Cost_table.t;
-  (** Cost (µs) of fetching [n] translation entries in one transaction. *)
-  dma_setup_us : float;  (** Fixed setup cost of a bulk DMA. *)
-  bandwidth_mb_per_s : float;  (** Sustained bulk bandwidth. *)
-}
-
-val default_config : config
-(** Paper values: entry fetches per Table 2 (1.5–2.5 µs for 1–32
-    entries), 1.0 µs DMA setup, 127 MB/s sustained PCI bandwidth. *)
-
-val create : ?config:config -> Utlb_sim.Engine.t -> t
-
-val config : t -> config
+val create : Utlb_sim.Engine.t -> t
 
 val engine : t -> Utlb_sim.Engine.t
 (** The event engine the bus schedules completions on. *)
@@ -36,19 +23,7 @@ val set_obs : t -> ?pid:int -> Utlb_obs.Scope.t option -> unit
     instant the transaction wins the bus, [Bus_end] at completion),
     attributed to [pid] (default 0; a node id under SVM). *)
 
-val set_faults : t -> Utlb_fault.Injector.t option -> unit
-(** Install (or clear) a fault injector. Each submitted transaction
-    then rolls the injector's [bus-stall] class; a hit lengthens that
-    transaction's bus occupancy by the planned stall (and emits a
-    [Fault_inject] event when an observability scope is installed).
-    Ordering and completion are unaffected — a stall is pure added
-    latency. *)
-
-val entry_fetch_cost : t -> entries:int -> Utlb_sim.Time.t
-(** Latency of one translation-entry fetch transaction.
-    @raise Invalid_argument if [entries < 1]. *)
-
-val data_cost : t -> bytes:int -> Utlb_sim.Time.t
+val data_cost : bytes:int -> Utlb_sim.Time.t
 (** Latency of a bulk transfer of [bytes] bytes.
     @raise Invalid_argument if [bytes < 0]. *)
 
@@ -61,6 +36,3 @@ val busy_until : t -> Utlb_sim.Time.t
 
 val transactions : t -> int
 (** Number of transactions submitted so far. *)
-
-val stalls : t -> int
-(** Transactions that absorbed an injected bus stall. *)

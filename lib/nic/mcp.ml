@@ -13,7 +13,11 @@ type t = {
   mutable commands : int;
 }
 
-let create ?(poll_us = 0.3) engine =
+(* Firmware occupancy charged per command dispatch: the paper's
+   command-processing overhead scale. *)
+let poll_us = 0.3
+
+let create engine =
   {
     engine;
     poll_cost = Time.of_us poll_us;

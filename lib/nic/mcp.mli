@@ -14,10 +14,9 @@ type t
 
 type handler = pid:Utlb_mem.Pid.t -> Command_queue.command -> unit
 
-val create :
-  ?poll_us:float -> Utlb_sim.Engine.t -> t
-(** [poll_us] is the firmware occupancy charged per command dispatch
-    (default 0.3 µs, the paper's command-processing overhead scale). *)
+val create : Utlb_sim.Engine.t -> t
+(** Each command dispatch charges 0.3 µs of firmware occupancy, the
+    paper's command-processing overhead scale. *)
 
 val attach : t -> Command_queue.t -> unit
 (** Add a process ring to the polling rotation.

@@ -4,32 +4,14 @@ type t = {
   sram : Sram.t;
   bus : Io_bus.t;
   dma : Dma.t;
-  interrupt : Interrupt.t;
   mcp : Mcp.t;
 }
 
-let create ?sram_bytes ?bus_config ?intr_dispatch_us ?mcp_poll_us ~node engine =
-  let sram =
-    match sram_bytes with
-    | None -> Sram.create ()
-    | Some bytes -> Sram.create ~bytes ()
-  in
-  let bus =
-    match bus_config with
-    | None -> Io_bus.create engine
-    | Some config -> Io_bus.create ~config engine
-  in
-  let interrupt =
-    match intr_dispatch_us with
-    | None -> Interrupt.create engine
-    | Some dispatch_us -> Interrupt.create ~dispatch_us engine
-  in
-  let mcp =
-    match mcp_poll_us with
-    | None -> Mcp.create engine
-    | Some poll_us -> Mcp.create ~poll_us engine
-  in
-  { node; engine; sram; bus; dma = Dma.create bus; interrupt; mcp }
+let create ~node engine =
+  let sram = Sram.create () in
+  let bus = Io_bus.create engine in
+  let mcp = Mcp.create engine in
+  { node; engine; sram; bus; dma = Dma.create bus; mcp }
 
 let node t = t.node
 
@@ -41,14 +23,7 @@ let bus t = t.bus
 
 let dma t = t.dma
 
-let interrupt t = t.interrupt
-
 let mcp t = t.mcp
-
-let set_faults t faults =
-  Io_bus.set_faults t.bus faults;
-  Dma.set_faults t.dma faults;
-  Interrupt.set_faults t.interrupt faults
 
 let new_command_queue t ~pid ~slots =
   let ring = Command_queue.create t.sram ~pid ~slots in

@@ -1,19 +1,12 @@
-(** A complete network-interface card: SRAM, I/O bus, DMA engine,
-    interrupt line, and MCP firmware, assembled around one event engine.
+(** A complete network-interface card: SRAM (1 MB), I/O bus, DMA
+    engine, and MCP firmware, assembled around one event engine.
 
-    This is the substrate the UTLB library programs against. One [t] per
-    simulated node. *)
+    This is the substrate the VMMC layer drives. One [t] per simulated
+    node. *)
 
 type t
 
-val create :
-  ?sram_bytes:int ->
-  ?bus_config:Io_bus.config ->
-  ?intr_dispatch_us:float ->
-  ?mcp_poll_us:float ->
-  node:int ->
-  Utlb_sim.Engine.t ->
-  t
+val create : node:int -> Utlb_sim.Engine.t -> t
 
 val node : t -> int
 
@@ -25,14 +18,7 @@ val bus : t -> Io_bus.t
 
 val dma : t -> Dma.t
 
-val interrupt : t -> Interrupt.t
-
 val mcp : t -> Mcp.t
-
-val set_faults : t -> Utlb_fault.Injector.t option -> unit
-(** Install (or clear) one fault injector on the card's bus, DMA
-    engine, and interrupt line at once — the usual way a node opts its
-    whole substrate into a fault plan. *)
 
 val new_command_queue : t -> pid:Utlb_mem.Pid.t -> slots:int -> Command_queue.t
 (** Allocate a command ring in this card's SRAM and attach it to the

@@ -51,7 +51,7 @@ let create ?obs cluster ~pages =
   if pages <= 0 then invalid_arg "Svm.create: pages must be positive";
   let n = Cluster.node_count cluster in
   (* Attach the scope to every node's NI components (bus spans, DMA
-     spans, interrupt instants) and to the shared event engine. *)
+     spans) and to the shared event engine. *)
   (match obs with
   | None -> ()
   | Some scope ->
@@ -59,8 +59,7 @@ let create ?obs cluster ~pages =
     for node = 0 to n - 1 do
       let nic = Cluster.nic cluster ~node in
       Utlb_nic.Io_bus.set_obs (Utlb_nic.Nic.bus nic) ~pid:node (Some scope);
-      Utlb_nic.Dma.set_obs (Utlb_nic.Nic.dma nic) ~pid:node (Some scope);
-      Utlb_nic.Interrupt.set_obs (Utlb_nic.Nic.interrupt nic) (Some scope)
+      Utlb_nic.Dma.set_obs (Utlb_nic.Nic.dma nic) ~pid:node (Some scope)
     done);
   let procs = Array.init n (fun node -> Cluster.spawn cluster ~node) in
   let segment_len = ((pages + n - 1) / n) * page_size in

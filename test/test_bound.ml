@@ -47,7 +47,10 @@ let test_slo_parse () =
       match Bound.slo_of_string bad with
       | Ok _ -> Alcotest.failf "accepted bad spec %S" bad
       | Error _ -> ())
-    [ ""; "lat_us<=x"; "pinned<=-1"; "cheese<=4"; "lat_us=250" ]
+    [
+      ""; "lat_us<=x"; "pinned<=-1"; "cheese<=4"; "lat_us=250"; "lat_us<=inf";
+      "lat_us<=1e999";
+    ]
 
 (* {2 Per-engine harnesses}
 
