@@ -53,6 +53,49 @@ let test_shuffle_permutation () =
     (Array.init 100 (fun i -> i))
     sorted
 
+(* The first eight draws of each kind from a fresh generator, as
+   literals: a change to the generator's arithmetic or state layout
+   that moves any stream fails here, where comparing two runs of the
+   same build cannot see it. *)
+let pinned =
+  [
+    ( 1234L,
+      [ -4968325692281840421L; -7509856599009106652L; 3728693401281897946L;
+        5648149391703318579L; -5110771941603457627L; -5710649408451599087L;
+        9136733345333910430L; 4199148429166567583L ],
+      [ 936159; 226278; 626122; 988333; 860532; 290632; 52391; 536154 ],
+      [ 0x1.7619ec365e303p-1; 0x1.2f8f426c9be0cp-1; 0x1.9df7d724de01p-3;
+        0x1.398907c94b428p-2; 0x1.7225c7fe89628p-1; 0x1.617f653d18e54p-1;
+        0x1.fb30ca46c0606p-2; 0x1.d232f9fc7ce7p-3 ],
+      [ true; false; false; true; true; true; false; true ] );
+    ( 0x5EED_CAFEL,
+      [ 4839992929902016533L; -5749855478143838530L; -2499282993978686212L;
+        3115517747291210547L; -1460459064231100383L; 8225877385692463310L;
+        6065135524253103467L; -2824135168967517471L ],
+      [ 393317; 99022; 576467; 4124; 149452; 169454; 558383; 961491 ],
+      [ 0x1.0cac6fb498d8ep-2; 0x1.6068d1d036ce2p-1; 0x1.baa186b7ad738p-1;
+        0x1.59e4571355bep-3; 0x1.d776d0701703p-1; 0x1.c8a0bf995079p-2;
+        0x1.50aec27fd6d5cp-2; 0x1.b19d500db001bp-1 ],
+      [ true; false; false; true; true; false; true; true ] );
+  ]
+
+let test_pinned_streams () =
+  List.iter
+    (fun (seed, raw, ints, floats, bools) ->
+      let draws f =
+        let rng = Rng.create ~seed in
+        List.init 8 (fun _ -> f rng)
+      in
+      let name kind = Printf.sprintf "seed %Ld: %s" seed kind in
+      Alcotest.(check (list int64)) (name "next_int64") raw (draws Rng.next_int64);
+      Alcotest.(check (list int)) (name "int 1_000_003") ints
+        (draws (fun rng -> Rng.int rng 1_000_003));
+      Alcotest.(check (list int64)) (name "float 1.0 bits")
+        (List.map Int64.bits_of_float floats)
+        (List.map Int64.bits_of_float (draws (fun rng -> Rng.float rng 1.0)));
+      Alcotest.(check (list bool)) (name "bool") bools (draws Rng.bool))
+    pinned
+
 let prop_int_in_bounds =
   QCheck.Test.make ~name:"Rng.int stays within bounds" ~count:500
     QCheck.(pair small_int (int_bound 1000))
@@ -86,6 +129,7 @@ let suite =
     Alcotest.test_case "geometric invalid p" `Quick test_geometric_invalid;
     Alcotest.test_case "pick empty" `Quick test_pick_empty;
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
+    Alcotest.test_case "pinned first draws" `Quick test_pinned_streams;
     QCheck_alcotest.to_alcotest prop_int_in_bounds;
     QCheck_alcotest.to_alcotest prop_float_in_bounds;
     QCheck_alcotest.to_alcotest prop_geometric_nonneg;

@@ -160,6 +160,82 @@ let test_multiprogram_empty () =
     (Invalid_argument "Workloads.multiprogram: empty list") (fun () ->
       ignore (Workloads.multiprogram []))
 
+(* One digest per generated trace over every record's fields, with the
+   time as its IEEE bits. Two runs of one build agreeing (above) does
+   not show that a change to the generator left its traces alone;
+   these literals do. *)
+let trace_digest trace =
+  let b = Buffer.create 4096 in
+  Trace.iter trace (fun (r : Record.t) ->
+      Buffer.add_int64_le b (Int64.bits_of_float r.time_us);
+      Buffer.add_int64_le b (Int64.of_int (Pid.to_int r.pid));
+      Buffer.add_int64_le b (Int64.of_int r.vpn);
+      Buffer.add_int64_le b (Int64.of_int r.npages);
+      Buffer.add_char b (match r.op with Record.Send -> 'S' | Record.Fetch -> 'F'));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_specs =
+  Workloads.all
+  @ [
+      Workloads.interference;
+      Workloads.scaled Workloads.fft ~factor:0.5;
+      Workloads.multiprogram [ Workloads.fft; Workloads.lu ];
+    ]
+
+let pinned_digests =
+  [
+    ( 42L,
+      [ "f9406729898c8c59e2e4fd1034de4195"; "feff610954a8a4f9648008c3d2d37cd0";
+        "43b11abaf447d20f78fa6b470815f918"; "f2cf812947c5e8aa52f08678380122d7";
+        "b320e50666a5ff4a52430214f66261ed"; "c6cdbfd18d9762ab35057aaab1dc2a48";
+        "0c519cbe887360caa8d677339063d055"; "055317fa7ae3c79d66eb5bc000bc748b";
+        "0aea82d76d6d9b4f1eeecf6d0d08a55b"; "89be63008e0192e87ffb7eb92a9d0763" ] );
+    ( Utlb.Sim_driver.default_seed,
+      [ "839c3e2f729f6bc951c25b8c35ee5943"; "995edd1711c580c275acde93de42aee9";
+        "af19c8e6af2f8376bbf34e0f0abf1f58"; "b08479be842374e102e52dc6c55ea42d";
+        "f33080df0c24f441c9d197ff749489a6"; "308a976b71e77a110980cd432354bea6";
+        "8588e467b03d1283381bcfb4605223d8"; "2b6b0dc5f8f4ecf5ac1d98baac02989c";
+        "ef9f5d6ed372d9eccfd849f7987c25a9"; "493eebec9826631afd76ea7c5530de4f" ] );
+  ]
+
+let test_pinned_traces () =
+  List.iter
+    (fun (seed, digests) ->
+      List.iter2
+        (fun (spec : Workloads.spec) expected ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s sized %d, seed %Ld" spec.name
+               spec.table3_lookups seed)
+            expected
+            (trace_digest (spec.generate ~seed)))
+        pinned_specs digests)
+    pinned_digests
+
+let test_pinned_patterns () =
+  let seq = Pattern.sequential ~npages:3 ~pages:50 () in
+  let uni = Pattern.uniform_random ~npages:2 ~lookups:300 ~pages:100 () in
+  let str = Pattern.strided ~pairs:true ~pages:60 () in
+  List.iter
+    (fun (name, pattern, expected) ->
+      Alcotest.(check string) name expected
+        (trace_digest (Pattern.to_trace ~seed pattern)))
+    [
+      ("sequential", seq, "245ef897185f4063e838da0d44b0b673");
+      ("strided", str, "0af1a6f043e3f6aa83a9216521aea6dc");
+      ( "cyclic",
+        Pattern.cyclic ~passes:3 ~npages:2 ~pages:40 (),
+        "fbe2dde679bb72de20f0e9d2b65bec7e" );
+      ( "hot_cold",
+        Pattern.hot_cold ~hot_fraction:0.2 ~hot_bias:0.8 ~lookups:300 ~pages:100,
+        "d356cbd89273ee6b0e9b3abf27be7378" );
+      ("uniform_random", uni, "8412e569bde64691f1de1e07376de774");
+      ("concat", Pattern.concat [ seq; uni ], "2af878b27da9afac634759444843c03c");
+      ("repeat", Pattern.repeat 3 str, "17bb1c305953c4f5915bcdd1c2431790");
+      ( "mix",
+        Pattern.mix [ (0.7, seq); (0.3, uni) ] ~lookups:300,
+        "e22b38e7a2e897dacfc7327c548aa8ce" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "Table 3 calibration" `Slow test_calibration;
@@ -176,4 +252,6 @@ let suite =
     Alcotest.test_case "scaled invalid factor" `Quick test_scaled_invalid;
     Alcotest.test_case "multiprogram mix" `Slow test_multiprogram;
     Alcotest.test_case "multiprogram empty" `Quick test_multiprogram_empty;
+    Alcotest.test_case "pinned trace digests" `Slow test_pinned_traces;
+    Alcotest.test_case "pinned pattern digests" `Quick test_pinned_patterns;
   ]
