@@ -90,19 +90,11 @@ let note_recovery t = t.recoveries <- t.recoveries + 1
 
 let recoveries t = t.recoveries
 
-let injected_class t klass = t.injected.(class_index klass)
-
 let injected t = Array.fold_left ( + ) 0 t.injected
 
 let by_class t =
   List.filter_map
     (fun klass ->
-      let n = injected_class t klass in
+      let n = t.injected.(class_index klass) in
       if n = 0 then None else Some (class_name klass, n))
     all_classes
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>injected=%d recovered=%d" (injected t)
-    (recoveries t);
-  List.iter (fun (name, n) -> Format.fprintf ppf " %s=%d" name n) (by_class t);
-  Format.fprintf ppf "@]"

@@ -12,12 +12,6 @@
     byte-identical serial/parallel campaigns (each cell gets its own
     seeded injector). *)
 
-type klass = Dma_fail | Cache_invalidate | Table_swap | Irq_timeout
-
-val class_name : klass -> string
-
-val all_classes : klass list
-
 type t
 
 val create : ?seed:int64 -> Plan.t -> t
@@ -51,9 +45,5 @@ val recoveries : t -> int
 val injected : t -> int
 (** Total faults injected across all classes. *)
 
-val injected_class : t -> klass -> int
-
 val by_class : t -> (string * int) list
 (** Nonzero injection counts, [(class name, count)], stable order. *)
-
-val pp : Format.formatter -> t -> unit

@@ -188,5 +188,3 @@ let to_string t =
     ]
   |> String.concat ","
   |> function "" -> "none" | s -> s
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

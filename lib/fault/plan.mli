@@ -64,5 +64,3 @@ val of_string : string -> (t, string) result
 
 val to_string : t -> string
 (** Round-trippable spec for the active classes, or ["none"]. *)
-
-val pp : Format.formatter -> t -> unit

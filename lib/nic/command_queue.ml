@@ -17,14 +17,13 @@ type t = {
   mutable head : int; (* next slot firmware reads *)
   mutable tail : int; (* next slot user writes *)
   mutable pending : int;
-  mutable posted_total : int;
 }
 
 let create sram ~pid ~slots =
   if slots <= 0 then invalid_arg "Command_queue.create: slots must be positive";
   let name = Printf.sprintf "cmdq-%d" (Utlb_mem.Pid.to_int pid) in
   let region = Sram.alloc sram ~name ~length:(slots * words_per_slot * 8) in
-  { sram; region; pid; slots; head = 0; tail = 0; pending = 0; posted_total = 0 }
+  { sram; region; pid; slots; head = 0; tail = 0; pending = 0 }
 
 let pid t = t.pid
 
@@ -72,7 +71,6 @@ let post t cmd =
     write_slot t t.tail cmd;
     t.tail <- (t.tail + 1) mod t.slots;
     t.pending <- t.pending + 1;
-    t.posted_total <- t.posted_total + 1;
     true
   end
 
@@ -86,5 +84,3 @@ let poll t =
   end
 
 let pending t = t.pending
-
-let posted_total t = t.posted_total

@@ -37,5 +37,3 @@ val poll : t -> command option
 (** Firmware side: dequeue the oldest command. *)
 
 val pending : t -> int
-
-val posted_total : t -> int

@@ -5,7 +5,6 @@ module Ev = Utlb_obs.Event
 
 type t = {
   bus : Io_bus.t;
-  mutable data_transfers : int;
   mutable bytes_moved : int;
   mutable frame_guard : (frame:int -> unit) option;
   mutable probe : Probe.t;
@@ -15,14 +14,11 @@ type t = {
 let create bus =
   {
     bus;
-    data_transfers = 0;
     bytes_moved = 0;
     frame_guard = None;
     probe = Probe.null;
     probe_pid = 0;
   }
-
-let bus t = t.bus
 
 let set_frame_guard t guard = t.frame_guard <- guard
 
@@ -57,7 +53,6 @@ let host_to_nic ?(frames = [||]) t ~src ~len ~on_done =
   if len < 0 then invalid_arg "Dma.host_to_nic: negative length";
   guard_frames t frames;
   let cost = Io_bus.data_cost ~bytes:len in
-  t.data_transfers <- t.data_transfers + 1;
   t.bytes_moved <- t.bytes_moved + len;
   observe_begin t ~count:len;
   Io_bus.submit t.bus ~cost (fun () ->
@@ -72,13 +67,10 @@ let nic_to_host ?(frames = [||]) t ~data ~on_done =
   guard_frames t frames;
   let len = Bytes.length data in
   let cost = Io_bus.data_cost ~bytes:len in
-  t.data_transfers <- t.data_transfers + 1;
   t.bytes_moved <- t.bytes_moved + len;
   observe_begin t ~count:len;
   Io_bus.submit t.bus ~cost (fun () -> on_done data);
   observe_end t ~count:len;
   t.probe.Probe.flush ()
-
-let data_transfers t = t.data_transfers
 
 let bytes_moved t = t.bytes_moved

@@ -12,8 +12,6 @@ type t
 
 val create : Io_bus.t -> t
 
-val bus : t -> Io_bus.t
-
 val host_to_nic :
   ?frames:int array ->
   t ->
@@ -45,7 +43,5 @@ val set_frame_guard : t -> (frame:int -> unit) option -> unit
     violation when the frame is the pinned garbage frame or is not
     currently pinned — the safety property of the paper's Section 3.4
     that the NI never moves data through an unpinned page. *)
-
-val data_transfers : t -> int
 
 val bytes_moved : t -> int

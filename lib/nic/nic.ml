@@ -1,23 +1,15 @@
 type t = {
-  node : int;
-  engine : Utlb_sim.Engine.t;
   sram : Sram.t;
   bus : Io_bus.t;
   dma : Dma.t;
   mcp : Mcp.t;
 }
 
-let create ~node engine =
+let create engine =
   let sram = Sram.create () in
   let bus = Io_bus.create engine in
   let mcp = Mcp.create engine in
-  { node; engine; sram; bus; dma = Dma.create bus; mcp }
-
-let node t = t.node
-
-let engine t = t.engine
-
-let sram t = t.sram
+  { sram; bus; dma = Dma.create bus; mcp }
 
 let bus t = t.bus
 

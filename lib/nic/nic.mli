@@ -6,13 +6,7 @@
 
 type t
 
-val create : node:int -> Utlb_sim.Engine.t -> t
-
-val node : t -> int
-
-val engine : t -> Utlb_sim.Engine.t
-
-val sram : t -> Sram.t
+val create : Utlb_sim.Engine.t -> t
 
 val bus : t -> Io_bus.t
 

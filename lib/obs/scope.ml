@@ -13,7 +13,6 @@ type metric_cache = {
   volume_counters : Stats.Counter.t option array;
   lookup_h : Stats.Histogram.t;
   miss_h : Stats.Histogram.t;
-  fetch_h : Stats.Histogram.t;
 }
 
 let kind_metric_name kind =
@@ -52,6 +51,9 @@ let build_cache registry =
              (volume_metric_name kind))
          Event.all_kinds)
   in
+  (* Registered so the schema keeps its shape; nothing observes into it
+     since no component emits a DMA entry fetch. *)
+  ignore (Metrics.histogram registry "dma/fetch_us" ~bucket_width:2.0 ~buckets:50);
   {
     registry;
     kind_counters;
@@ -60,26 +62,36 @@ let build_cache registry =
       Metrics.histogram registry "host/lookup_us" ~bucket_width:5.0 ~buckets:40;
     miss_h =
       Metrics.histogram registry "host/miss_us" ~bucket_width:5.0 ~buckets:40;
-    fetch_h =
-      Metrics.histogram registry "dma/fetch_us" ~bucket_width:2.0 ~buckets:50;
   }
 
 let preregister registry = ignore (build_cache registry)
 
+(* The scope's floats, in a record of floats only: ocamlopt stores such
+   a record flat, so updating a field allocates nothing, where a float
+   field of a mixed record boxes every value stored into it. *)
+type clock = {
+  mutable now_us : float;  (** The modelled clock {!emit} advances. *)
+  mutable at_us : float;  (** Timestamp of the event being recorded. *)
+  mutable lookup_cost : float;  (** Modelled cost of the open lookup. *)
+}
+
+(* [cost_of] prices a (kind, count) with a fresh boxed float, so the
+   scope asks it once per pair with a count below [price_slots] and
+   keeps the answer; nan marks a pair not yet priced. *)
+let price_slots = 64
+
 type t = {
   sink : Trace_sink.t option;
   cache : metric_cache option;
-  cost_of : (Event.kind -> count:int -> float) option;
-  mutable now_us : float;
+  cost_of : Event.kind -> count:int -> float;
+  prices : float array;  (* [kind_index * price_slots + count] *)
+  clock : clock;
   mutable pid : int;
   kind_counts : int array;
   kind_costs : float array;
   (* state of the lookup currently being attributed (between ticks) *)
   mutable lookup_open : bool;
-  mutable lookup_cost : float;
   mutable miss_path : bool;
-  (* open begin/end spans keyed by (pid, span name) *)
-  spans : (int * string, float) Hashtbl.t;
   (* Probe batching buffer (see {!Probe}): pending events in flat
      parallel arrays, replayed in order by [flush]. [buf_at] is nan for
      modelled-clock events ([emit] semantics) and a timestamp for
@@ -97,15 +109,14 @@ let create ?sink ?metrics ?cost_of () =
   {
     sink;
     cache = Option.map build_cache metrics;
-    cost_of;
-    now_us = 0.0;
+    cost_of = Option.value cost_of ~default:(fun _ ~count:_ -> 0.0);
+    prices = Array.make (Event.n_kinds * price_slots) Float.nan;
+    clock = { now_us = 0.0; at_us = 0.0; lookup_cost = 0.0 };
     pid = 0;
     kind_counts = Array.make Event.n_kinds 0;
     kind_costs = Array.make Event.n_kinds 0.0;
     lookup_open = false;
-    lookup_cost = 0.0;
     miss_path = false;
-    spans = Hashtbl.create 16;
     buf_kind = Array.make 256 0;
     buf_pid = Array.make 256 0;
     buf_vpn = Array.make 256 0;
@@ -121,52 +132,46 @@ let no_vpn = -1
 
 let no_count = 0
 
-let record t ~at_us ~pid ~vpn ~count kind =
-  let magnitude = count in
+(* Account one event stamped at [t.clock.at_us]; with [advance] (the
+   [emit] semantics) the modelled clock moves on by its cost. No float
+   goes in or out, so the call boxes none. *)
+let record t ~advance ~pid ~vpn ~count kind =
   (match t.sink with
   | None -> ()
-  | Some s -> Trace_sink.emit s ~at_us ~kind ~pid ~vpn ~count ());
+  | Some s -> Trace_sink.emit s ~at_us:t.clock.at_us ~kind ~pid ~vpn ~count ());
   let i = Event.kind_index kind in
   t.kind_counts.(i) <- t.kind_counts.(i) + 1;
   let cost =
-    match t.cost_of with
-    | None -> 0.0
-    | Some f -> f kind ~count:magnitude
+    if count < 0 || count >= price_slots then t.cost_of kind ~count
+    else begin
+      let slot = (i * price_slots) + count in
+      if Float.is_nan t.prices.(slot) then
+        t.prices.(slot) <- t.cost_of kind ~count;
+      t.prices.(slot)
+    end
   in
   t.kind_costs.(i) <- t.kind_costs.(i) +. cost;
+  if advance then t.clock.now_us <- t.clock.now_us +. cost;
   if t.lookup_open then begin
-    t.lookup_cost <- t.lookup_cost +. cost;
+    t.clock.lookup_cost <- t.clock.lookup_cost +. cost;
     match kind with
     | Event.Check_miss | Event.Ni_miss | Event.Interrupt ->
       t.miss_path <- true
     | _ -> ()
   end;
-  (match t.cache with
+  match t.cache with
   | None -> ()
   | Some c ->
     Stats.Counter.incr c.kind_counters.(i);
     (match c.volume_counters.(i) with
-    | Some volume when magnitude > 0 -> Stats.Counter.add volume magnitude
-    | Some _ | None -> ()));
-  (match Event.phase_of_kind kind with
-  | Event.Begin -> Hashtbl.replace t.spans (pid, Event.span_name kind) at_us
-  | Event.End -> (
-    let key = (pid, Event.span_name kind) in
-    match Hashtbl.find_opt t.spans key with
-    | None -> ()
-    | Some start ->
-      Hashtbl.remove t.spans key;
-      (match (kind, t.cache) with
-      | Event.Dma_fetch_end, Some c ->
-        Stats.Histogram.observe c.fetch_h (at_us -. start)
-      | _ -> ()))
-  | Event.Instant -> ());
-  cost
+    | Some volume when count > 0 -> Stats.Counter.add volume count
+    | Some _ | None -> ())
 
-(* Replay [emit] semantics for a buffered modelled-clock event. *)
+(* Replay [emit] semantics: stamp at the modelled clock, then advance
+   it by the event's cost. *)
 let replay_emit t ~pid ~vpn ~count kind =
-  let cost = record t ~at_us:t.now_us ~pid ~vpn ~count kind in
-  t.now_us <- t.now_us +. cost
+  t.clock.at_us <- t.clock.now_us;
+  record t ~advance:true ~pid ~vpn ~count kind
 
 let kind_of_index = Array.of_list Event.all_kinds
 
@@ -179,9 +184,11 @@ let flush t =
       let pid = t.buf_pid.(i) in
       let vpn = t.buf_vpn.(i) in
       let count = t.buf_count.(i) in
-      let at = t.buf_at.(i) in
-      if Float.is_nan at then replay_emit t ~pid ~vpn ~count kind
-      else ignore (record t ~at_us:at ~pid ~vpn ~count kind)
+      if Float.is_nan t.buf_at.(i) then replay_emit t ~pid ~vpn ~count kind
+      else begin
+        t.clock.at_us <- t.buf_at.(i);
+        record t ~advance:false ~pid ~vpn ~count kind
+      end
     done
   end
 
@@ -227,11 +234,11 @@ let metrics t =
 
 let now_us t =
   flush t;
-  t.now_us
+  t.clock.now_us
 
 let set_time t us =
   flush t;
-  t.now_us <- us
+  t.clock.now_us <- us
 
 let kind_count t kind =
   flush t;
@@ -256,11 +263,11 @@ let total_cost t =
 
 let emit_at t ~at_us ~pid ?vpn ?count kind =
   flush t;
-  ignore
-    (record t ~at_us ~pid
-       ~vpn:(Option.value ~default:no_vpn vpn)
-       ~count:(Option.value ~default:no_count count)
-       kind)
+  t.clock.at_us <- at_us;
+  record t ~advance:false ~pid
+    ~vpn:(Option.value ~default:no_vpn vpn)
+    ~count:(Option.value ~default:no_count count)
+    kind
 
 let emit t ?pid ?vpn ?count kind =
   flush t;
@@ -272,24 +279,31 @@ let emit t ?pid ?vpn ?count kind =
     ~count:(Option.value ~default:no_count count)
     kind
 
+(* The open lookup's cost into [h]: [Histogram.observe]'s bucket,
+   computed here so the cost is not boxed to cross into [Stats]. *)
+let observe_lookup t h =
+  Stats.Histogram.observe_bucket h
+    (int_of_float
+       (Float.floor (t.clock.lookup_cost /. Stats.Histogram.bucket_width h)))
+
 let close_lookup t =
   if t.lookup_open then begin
     t.lookup_open <- false;
     (match t.cache with
     | None -> ()
     | Some c ->
-      Stats.Histogram.observe c.lookup_h t.lookup_cost;
-      if t.miss_path then Stats.Histogram.observe c.miss_h t.lookup_cost);
-    t.lookup_cost <- 0.0;
+      observe_lookup t c.lookup_h;
+      if t.miss_path then observe_lookup t c.miss_h);
+    t.clock.lookup_cost <- 0.0;
     t.miss_path <- false
   end
 
-let tick t ~pid ?vpn ?npages () =
+let tick t ~pid ~vpn ~npages () =
   flush t;
   close_lookup t;
   t.pid <- pid;
   t.lookup_open <- true;
-  emit t ~pid ?vpn ?count:npages Event.Lookup
+  replay_emit t ~pid ~vpn ~count:npages Event.Lookup
 
 let finish t =
   flush t;
@@ -303,6 +317,6 @@ let observe_engine t engine ~pid =
     (Some
        (fun ~now:_ ~at ->
          flush t;
-         ignore
-           (record t ~at_us:(Time.to_us at) ~pid ~vpn:no_vpn ~count:no_count
-              Event.Dispatch)))
+         t.clock.at_us <- Time.to_us at;
+         record t ~advance:false ~pid ~vpn:no_vpn ~count:no_count
+           Event.Dispatch))

@@ -28,7 +28,11 @@ val create :
   t
 (** With [metrics], the standard schema (see {!preregister}) is
     registered immediately so snapshots are structurally identical
-    across runs that exercised different code paths. *)
+    across runs that exercised different code paths.
+
+    [cost_of] must be a pure function of (kind, count): the scope calls
+    it once per pair with a small count and reuses that price for every
+    later event of the pair ({!Utlb.Obs_cost} qualifies). *)
 
 val preregister : Metrics.t -> unit
 (** Register the standard metric schema without creating a scope: one
@@ -36,7 +40,10 @@ val preregister : Metrics.t -> unit
     counters ([host/pages_pinned], [host/pages_unpinned],
     [host/pages_prepinned], [ni/entries_fetched], [dma/bytes],
     [svm/diff_bytes]), and latency histograms [host/lookup_us],
-    [host/miss_us], [dma/fetch_us]. Idempotent. Fault-plane kinds
+    [host/miss_us], [dma/fetch_us]. Idempotent. [dma/fetch_us] stays
+    registered but empty: no component emits a DMA entry fetch any
+    more, and the schema keeps its shape for the snapshots that pin
+    it. Fault-plane kinds
     ({!Event.is_fault_kind}) are deliberately not part of the schema;
     see {!Event.is_fault_kind}. *)
 
@@ -49,9 +56,11 @@ val now_us : t -> float
 
 val set_time : t -> float -> unit
 
-val tick : t -> pid:int -> ?vpn:int -> ?npages:int -> unit -> unit
+val tick : t -> pid:int -> vpn:int -> npages:int -> unit -> unit
 (** Start attributing a new lookup (closing the previous one) and emit
-    its [Lookup] event ([count] = [npages]). *)
+    its [Lookup] event ([count] = [npages]). [vpn] and [npages] are
+    plain ints, so a driver calling [tick] per record boxes nothing;
+    {!Probe.no_vpn} and {!Probe.no_count} stand for "none". *)
 
 val finish : t -> unit
 (** Close the last open lookup; call once at end of run. *)
@@ -64,8 +73,7 @@ val emit : t -> ?pid:int -> ?vpn:int -> ?count:int -> Event.kind -> unit
 val emit_at :
   t -> at_us:float -> pid:int -> ?vpn:int -> ?count:int -> Event.kind -> unit
 (** Emit at an explicit (engine) timestamp; the modelled clock is not
-    advanced. Begin/end pairs are matched per (pid, span) to feed the
-    [dma/fetch_us] histogram. *)
+    advanced. *)
 
 val observe_engine : t -> Utlb_sim.Engine.t -> pid:int -> unit
 (** Install a dispatch observer on [engine] emitting one [Dispatch]

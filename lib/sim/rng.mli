@@ -6,7 +6,11 @@
     lets each simulated process own an independent stream. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit SplitMix64 word, kept unboxed
+    in an 8-byte buffer, so {!int}, {!bool}, {!geometric}, {!shuffle}
+    and {!pick} allocate nothing. {!next_int64} and {!float} return a
+    boxed value, as any int64 or float a function returns to another
+    module is. *)
 
 val create : seed:int64 -> t
 (** [create ~seed] returns a fresh generator. Equal seeds yield equal

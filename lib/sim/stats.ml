@@ -93,11 +93,12 @@ module Histogram = struct
 
   let n_buckets t = Array.length t.counts - 1
 
-  let observe t x =
-    let i = int_of_float (Float.floor (x /. t.bucket_width)) in
+  let observe_bucket t i =
     let i = if i < 0 then 0 else if i >= n_buckets t then n_buckets t else i in
     t.counts.(i) <- t.counts.(i) + 1;
     t.total <- t.total + 1
+
+  let observe t x = observe_bucket t (int_of_float (Float.floor (x /. t.bucket_width)))
 
   let count t = t.total
 

@@ -74,6 +74,12 @@ module Histogram : sig
 
   val observe : t -> float -> unit
 
+  val observe_bucket : t -> int -> unit
+  (** [observe_bucket t i] counts one value in bucket [i], clamped to
+      [\[0, buckets\]]: [observe t x] is [observe_bucket t] of
+      [int_of_float (Float.floor (x /. bucket_width t))]. It lets a
+      caller holding [x] unboxed observe it without boxing it. *)
+
   val count : t -> int
 
   val bucket : t -> int -> int

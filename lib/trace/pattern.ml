@@ -154,14 +154,13 @@ let to_trace ?(processes = 4) ?(mirror_fraction = 0.05) ?(mirror_npages = 2)
            bases congruent modulo 16384 pages. *)
         let base = 65536 + (pid * 16384) in
         let child = Rng.split rng in
-        List.map
+        let accesses = t.gen child in
+        let s = Interleave.stream (List.length accesses) in
+        List.iter
           (fun a ->
-            {
-              Interleave.vpn = base + a.rel_page;
-              npages = a.npages;
-              op = a.op;
-            })
-          (t.gen child))
+            Interleave.push s ~vpn:(base + a.rel_page) ~npages:a.npages ~op:a.op)
+          accesses;
+        s)
   in
   Interleave.merge rng ~mirror_fraction ~mirror_npages
     ~protocol_pid:(Utlb_mem.Pid.of_int processes)

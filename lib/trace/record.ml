@@ -7,6 +7,7 @@ type t = { time_us : float; pid : Pid.t; vpn : int; npages : int; op : op }
 let make ~time_us ~pid ~vpn ~npages ~op =
   if npages < 1 then invalid_arg "Record.make: npages must be >= 1";
   if vpn < 0 then invalid_arg "Record.make: negative vpn";
+  if not (Float.is_finite time_us) then invalid_arg "Record.make: non-finite time";
   if time_us < 0.0 then invalid_arg "Record.make: negative time";
   { time_us; pid; vpn; npages; op }
 

@@ -18,8 +18,9 @@ type t = {
 
 val make :
   time_us:float -> pid:Utlb_mem.Pid.t -> vpn:int -> npages:int -> op:op -> t
-(** @raise Invalid_argument if [npages < 1], [vpn < 0], or negative
-    time. *)
+(** @raise Invalid_argument if [npages < 1], [vpn < 0], or the time is
+    negative or not finite (NaN or an infinity; [1e400] parses as
+    infinity). *)
 
 val compare_time : t -> t -> int
 (** Orders by timestamp, then pid, then vpn (a total order for

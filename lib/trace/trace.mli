@@ -8,7 +8,9 @@
 type t
 
 val of_records : Record.t array -> t
-(** Takes ownership; sorts by timestamp. *)
+(** Takes ownership; sorts by {!Record.compare_time} unless the records
+    are already strictly increasing by it, in which case the array is
+    used as it is (a linear check, no sort). *)
 
 val records : t -> Record.t array
 (** Time-ordered. Do not mutate. *)

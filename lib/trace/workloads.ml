@@ -26,14 +26,10 @@ let arena_base = 65536
 
 let layout_stride = 16384
 
-type event = Interleave.event = { vpn : int; npages : int; op : Record.op }
-
-let ev ?(npages = 1) ?(op = Record.Send) vpn = { vpn; npages; op }
-
 (* The five processes' streams interleave through the shared merger;
    the protocol process mirrors application accesses at the same
    virtual pages, modelling home-based SVM diff/home traffic. *)
-let assemble rng ~mirror_fraction ~mirror_npages (streams : event list array) =
+let assemble rng ~mirror_fraction ~mirror_npages streams =
   Interleave.merge rng ~mirror_fraction ~mirror_npages ~protocol_pid streams
 
 let rec coprime_from n candidate =
@@ -56,15 +52,16 @@ let revisit rng history count ~far_prob =
    page order. *)
 let fft_stream rng ~base ~pages =
   let stride = coprime_from pages 64 in
-  let events = ref [] in
+  let s = Interleave.stream (4 * pages) in
   for _pass = 0 to 1 do
     let offset = Rng.int rng pages in
     for j = 0 to pages - 1 do
       let p = base + (((j * stride) + offset) mod pages) in
-      events := ev ~op:Record.Fetch p :: ev ~op:Record.Send p :: !events
+      Interleave.push s ~vpn:p ~npages:1 ~op:Record.Send;
+      Interleave.push s ~vpn:p ~npages:1 ~op:Record.Fetch
     done
   done;
-  List.rev !events
+  s
 
 (* LU: one blocked sweep, each page touched as a read/write pair; block
    order is strided to model the column-block traversal. *)
@@ -73,16 +70,16 @@ let lu_stream rng ~base ~pages =
   let nblocks = (pages + block - 1) / block in
   let bstride = coprime_from nblocks 9 in
   let boffset = Rng.int rng nblocks in
-  let events = ref [] in
+  let s = Interleave.stream (2 * pages) in
   for k = 0 to nblocks - 1 do
     let b = ((k * bstride) + boffset) mod nblocks in
     let lo = b * block and hi = min ((b + 1) * block) pages in
     for p = lo to hi - 1 do
-      events :=
-        ev ~op:Record.Fetch (base + p) :: ev ~op:Record.Send (base + p) :: !events
+      Interleave.push s ~vpn:(base + p) ~npages:1 ~op:Record.Send;
+      Interleave.push s ~vpn:(base + p) ~npages:1 ~op:Record.Fetch
     done
   done;
-  List.rev !events
+  s
 
 (* Barnes: most communication concentrates on a hot subset of the
    partition (boundary particles and shared tree cells) walked with
@@ -100,7 +97,7 @@ let barnes_stream rng ~base ~pages ~lookups =
   in
   Rng.shuffle rng cold;
   let cold_len = Array.length cold in
-  let events = ref [] in
+  let s = Interleave.stream lookups in
   let hot_pos = ref 0 in
   let cold_pos = ref 0 in
   for _ = 1 to lookups do
@@ -114,16 +111,16 @@ let barnes_stream rng ~base ~pages ~lookups =
       else hot_pos := Rng.int rng hot_count;
       let page = hot.(!hot_pos) in
       let npages = if Rng.bool rng && page < pages - 1 then 2 else 1 in
-      events := ev ~npages (base + page) :: !events
+      Interleave.push s ~vpn:(base + page) ~npages ~op:Record.Send
     end
     else begin
       (* Cold sweep: sequential, each page revisited on later sweeps. *)
       let page = cold.(!cold_pos) in
       cold_pos := (!cold_pos + 1) mod cold_len;
-      events := ev (base + page) :: !events
+      Interleave.push s ~vpn:(base + page) ~npages:1 ~op:Record.Send
     end
   done;
-  List.rev !events
+  s
 
 (* Radix: sequential single reads of the source segment, interleaved
    with recency-biased writes into the bucket region (consecutive keys
@@ -135,11 +132,11 @@ let radix_stream rng ~base ~pages ~lookups =
   let writes_per_read =
     float_of_int (lookups - source) /. float_of_int source
   in
-  let events = ref [] in
+  let s = Interleave.stream (max lookups source) in
   let bucket_pos = ref (Rng.int rng buckets) in
   let budget = ref 0.0 in
   for p = 0 to source - 1 do
-    events := ev ~op:Record.Fetch (base + p) :: !events;
+    Interleave.push s ~vpn:(base + p) ~npages:1 ~op:Record.Fetch;
     budget := !budget +. writes_per_read;
     while !budget >= 1.0 do
       budget := !budget -. 1.0;
@@ -147,25 +144,24 @@ let radix_stream rng ~base ~pages ~lookups =
       if r < 0.70 then () (* same bucket page again *)
       else if r < 0.88 then bucket_pos := (!bucket_pos + 1) mod buckets
       else bucket_pos := Rng.int rng buckets;
-      events := ev (bucket_base + !bucket_pos) :: !events
+      Interleave.push s ~vpn:(bucket_base + !bucket_pos) ~npages:1
+        ~op:Record.Send
     done
   done;
-  List.rev !events
+  s
 
 (* Task-queue applications (Raytrace, Volrend): tasks are short runs of
    contiguous pages visited once, padded with recency-biased revisits of
    earlier results. [far_prob] controls the far-revisit tail that keeps
    small caches missing. *)
 let task_queue_stream rng ~base ~pages ~lookups ~far_prob =
-  let events = ref [] in
+  let s = Interleave.stream lookups in
   let history = Array.make lookups 0 in
   let visited = ref 0 in
-  let emitted = ref 0 in
   let emit vpn op =
-    events := ev ~op vpn :: !events;
+    Interleave.push s ~vpn ~npages:1 ~op;
     history.(!visited) <- vpn;
-    visited := !visited + 1;
-    incr emitted
+    visited := !visited + 1
   in
   (* Random task (run) order over the partition. *)
   let next_new = ref 0 in
@@ -174,7 +170,7 @@ let task_queue_stream rng ~base ~pages ~lookups ~far_prob =
   let revisits_total = max 0 (lookups - pages) in
   let revisit_budget = ref 0.0 in
   let per_new = float_of_int revisits_total /. float_of_int pages in
-  while !next_new < pages && !emitted < lookups do
+  while !next_new < pages && !visited < lookups do
     let run_len = 2 + Rng.int rng 5 in
     let run_len = min run_len (pages - !next_new) in
     for k = 0 to run_len - 1 do
@@ -182,25 +178,24 @@ let task_queue_stream rng ~base ~pages ~lookups ~far_prob =
     done;
     next_new := !next_new + run_len;
     revisit_budget := !revisit_budget +. (per_new *. float_of_int run_len);
-    while !revisit_budget >= 1.0 && !emitted < lookups do
+    while !revisit_budget >= 1.0 && !visited < lookups do
       revisit_budget := !revisit_budget -. 1.0;
       let vpn = revisit rng history !visited ~far_prob in
       emit vpn Record.Send
     done
   done;
-  List.rev !events
+  s
 
 (* Water: neighbour-list exchanges concentrate on a hot cluster of
    molecule rows, while periodic full passes sweep the whole partition
    with multi-page buffers (molecule rows span two to three pages). *)
 let water_stream rng ~base ~pages ~lookups =
   let hot_count = max 2 (pages / 4) in
-  let events = ref [] in
-  let emitted = ref 0 in
+  let s = Interleave.stream lookups in
   let hot_pos = ref 0 in
   let sweep_pos = ref 0 in
-  while !emitted < lookups do
-    let npages = if !emitted mod 4 = 3 then 3 else 2 in
+  for emitted = 0 to lookups - 1 do
+    let npages = if emitted mod 4 = 3 then 3 else 2 in
     if Rng.float rng 1.0 < 0.65 then begin
       (* Hot neighbour-list touch with locality. *)
       let r = Rng.float rng 1.0 in
@@ -209,18 +204,17 @@ let water_stream rng ~base ~pages ~lookups =
       else hot_pos := Rng.int rng hot_count;
       let p = !hot_pos in
       let npages = max 1 (min npages (hot_count - p)) in
-      events := ev ~npages (base + p) :: !events
+      Interleave.push s ~vpn:(base + p) ~npages ~op:Record.Send
     end
     else begin
       (* Full-pass sweep over the partition. *)
       let p = !sweep_pos in
       let npages = max 1 (min npages (pages - p)) in
-      events := ev ~npages (base + p) :: !events;
+      Interleave.push s ~vpn:(base + p) ~npages ~op:Record.Send;
       sweep_pos := (!sweep_pos + npages) mod pages
-    end;
-    incr emitted
+    end
   done;
-  List.rev !events
+  s
 
 let partition ~footprint pid =
   (arena_base + (pid * layout_stride), footprint / app_processes)
@@ -311,25 +305,25 @@ let all = [ fft; lu; barnes; radix; raytrace; volrend; water ]
    cache, so left alone it barely misses. *)
 let victim_stream rng ~base ~pages ~lookups =
   let pos = ref 0 in
-  let events = ref [] in
+  let s = Interleave.stream lookups in
   for _ = 1 to lookups do
     let r = Rng.float rng 1.0 in
     if r < 0.80 then pos := (!pos + 1) mod pages
     else if r < 0.95 then () (* re-touch *)
     else pos := Rng.int rng pages;
-    events := ev (base + !pos) :: !events
+    Interleave.push s ~vpn:(base + !pos) ~npages:1 ~op:Record.Send
   done;
-  List.rev !events
+  s
 
 (* An aggressor: a pure streaming sweep over a footprint far larger
    than the NI cache — every access a compulsory-or-capacity miss,
    every fill an eviction of someone else's line. *)
 let aggressor_stream _rng ~base ~pages ~lookups =
-  let events = ref [] in
+  let s = Interleave.stream lookups in
   for i = 0 to lookups - 1 do
-    events := ev (base + (i mod pages)) :: !events
+    Interleave.push s ~vpn:(base + (i mod pages)) ~npages:1 ~op:Record.Send
   done;
-  List.rev !events
+  s
 
 let rec interference_build footprint lookups =
   {

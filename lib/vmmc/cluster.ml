@@ -469,7 +469,7 @@ let create ?(config = default_config) () =
   in
   let node_rts =
     Array.init (Fabric.nodes fabric) (fun id ->
-        let nic = Nic.create ~node:id engine in
+        let nic = Nic.create engine in
         let host = Utlb_mem.Host_memory.create () in
         {
           id;

@@ -6,7 +6,8 @@
    engine. A replay of the paper's traces may allocate on misses (a
    fresh page's frame, a growing table) but little per lookup. Engine
    creation is not counted: most of it is the host's frame free
-   list. *)
+   list. Observing a replay and generating its trace, the two other
+   layers of [utlbsim sweep --metrics], are bounded too. *)
 
 module Driver = Utlb.Sim_driver
 module Engine_intf = Utlb.Engine_intf
@@ -140,6 +141,65 @@ let store_allocates_little () =
   if per_store > 514.0 then
     Alcotest.failf "a one-page store allocates %.1f words" per_store
 
+(* The same quarter-size traces replayed through [Sim_driver.run_packed]
+   with and without a scope, on a fresh engine each time; the scope is
+   the one [utlbsim sweep --metrics] builds per cell (a metric registry
+   and [Obs_cost] prices), created outside the measured call. The
+   difference is what observation adds per lookup: the scope's tick
+   and the engines' probe events, which allocate nothing once each
+   (kind, count) is priced. The bound is the measured 0.00615 words
+   per lookup (utlb and victima; was about 20) plus 10%. *)
+let observed_replay_adds_little () =
+  let traces =
+    List.map
+      (fun spec ->
+        (Workloads.scaled spec ~factor:0.25).Workloads.generate
+          ~seed:Driver.default_seed)
+      Workloads.all
+  in
+  List.iter
+    (fun (entry : Driver.Registry.entry) ->
+      let name = entry.Driver.Registry.name in
+      let packed = packed name in
+      let added = ref 0.0 and lookups = ref 0 in
+      List.iter
+        (fun trace ->
+          let plain = words (fun () -> ignore (Driver.run_packed packed trace)) in
+          let obs =
+            Utlb_obs.Scope.create ~metrics:(Utlb_obs.Metrics.create ())
+              ~cost_of:Utlb.Obs_cost.default ()
+          in
+          let observed =
+            words (fun () -> ignore (Driver.run_packed ~obs packed trace))
+          in
+          added := !added +. (observed -. plain);
+          lookups := !lookups + Trace.length trace)
+        traces;
+      let per_lookup = !added /. float_of_int !lookups in
+      if per_lookup > 0.0068 then
+        Alcotest.failf "%s: observing a replay adds %.2f words per lookup" name
+          per_lookup)
+    (Driver.Registry.mechanisms ())
+
+(* Generating the seven Table-3 traces at full size: the streams, the
+   merge and the time-ordered record array. What is left is mostly the
+   records themselves (6 words and a 2-word boxed time each) and the
+   boxed floats [Rng.float] returns. The bound is the measured 13.34
+   words per record (was 59.2) plus 10%. *)
+let generation_allocates_little () =
+  let total = ref 0.0 and records = ref 0 in
+  List.iter
+    (fun (spec : Workloads.spec) ->
+      let trace = ref None in
+      total :=
+        !total
+        +. words (fun () -> trace := Some (spec.generate ~seed:Driver.default_seed));
+      records := !records + Trace.length (Option.get !trace))
+    Workloads.all;
+  let per_record = !total /. float_of_int !records in
+  if per_record > 14.7 then
+    Alcotest.failf "trace generation allocates %.1f words per record" per_record
+
 let suite =
   [
     Alcotest.test_case "hits allocate nothing" `Quick hits_allocate_nothing;
@@ -147,4 +207,8 @@ let suite =
       `Quick replay_allocates_little;
     Alcotest.test_case "vmmc store allocates at most 514 words" `Quick
       store_allocates_little;
+    Alcotest.test_case "observed replay adds at most 0.0068 words per lookup"
+      `Quick observed_replay_adds_little;
+    Alcotest.test_case "trace generation allocates at most 14.7 words per record"
+      `Quick generation_allocates_little;
   ]

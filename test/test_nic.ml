@@ -113,7 +113,7 @@ let test_command_queue_full () =
 
 let test_mcp_round_robin () =
   let e = Engine.create () in
-  let nic = Nic.create ~node:0 e in
+  let nic = Nic.create e in
   let q0 = Nic.new_command_queue nic ~pid:(Utlb_mem.Pid.of_int 0) ~slots:8 in
   let q1 = Nic.new_command_queue nic ~pid:(Utlb_mem.Pid.of_int 1) ~slots:8 in
   let served = ref [] in
@@ -134,7 +134,7 @@ let test_mcp_round_robin () =
 
 let test_mcp_kick_idempotent () =
   let e = Engine.create () in
-  let nic = Nic.create ~node:0 e in
+  let nic = Nic.create e in
   let q = Nic.new_command_queue nic ~pid:(Utlb_mem.Pid.of_int 0) ~slots:4 in
   let count = ref 0 in
   Mcp.set_handler (Nic.mcp nic) (fun ~pid:_ _ -> incr count);

@@ -127,7 +127,8 @@ let test_scope_noop_paths () =
 let test_scope_clock_advances_by_cost () =
   let scope = Scope.create ~cost_of:Obs_cost.default () in
   let t_start = Scope.now_us scope in
-  Scope.tick scope ~pid:0 ();
+  Scope.tick scope ~pid:0 ~vpn:Utlb_obs.Probe.no_vpn
+    ~npages:Utlb_obs.Probe.no_count ();
   let t0 = Scope.now_us scope in
   Scope.emit scope Event.Ni_hit;
   Alcotest.(check (float 1e-9)) "hit cost"

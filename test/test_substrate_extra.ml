@@ -64,7 +64,7 @@ let test_io_bus_counters () =
 
 let test_mcp_busy_flag () =
   let e = Engine.create () in
-  let nic = Utlb_nic.Nic.create ~node:0 e in
+  let nic = Utlb_nic.Nic.create e in
   let ring =
     Utlb_nic.Nic.new_command_queue nic ~pid:(Utlb_mem.Pid.of_int 0) ~slots:2
   in

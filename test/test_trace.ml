@@ -19,13 +19,54 @@ let test_record_parse_errors () =
   (match Record.of_string "not a record" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected field-count error");
-  match Record.of_string "1.0 0 5 1 Q" with
+  (match Record.of_string "1.0 0 5 1 Q" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected bad op error"
+  | Ok _ -> Alcotest.fail "expected bad op error");
+  (* A time that is not a finite number is refused like a negative one,
+     with the line's own text; 1e400 parses as infinity. *)
+  List.iter
+    (fun (line, why) ->
+      match Record.of_line ~line:3 line with
+      | Error msg ->
+        Alcotest.(check string) line
+          (Printf.sprintf "line 3: Record.of_string: Record.make: %s in %S" why
+             line)
+          msg
+      | Ok _ -> Alcotest.failf "accepted %S" line)
+    [
+      ("nan 0 101 1 S", "non-finite time");
+      ("1e400 0 101 1 S", "non-finite time");
+      ("-inf 0 101 1 S", "non-finite time");
+      ("-1.0 0 101 1 S", "negative time");
+    ]
 
 let test_record_validation () =
   Alcotest.check_raises "npages" (Invalid_argument "Record.make: npages must be >= 1")
-    (fun () -> ignore (rec_ ~npages:0 1))
+    (fun () -> ignore (rec_ ~npages:0 1));
+  Alcotest.check_raises "negative time"
+    (Invalid_argument "Record.make: negative time") (fun () ->
+      ignore (rec_ ~t:(-1.0) 1));
+  List.iter
+    (fun t ->
+      Alcotest.check_raises (Printf.sprintf "time %h" t)
+        (Invalid_argument "Record.make: non-finite time") (fun () ->
+          ignore (rec_ ~t 1)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  (* The strict loader stops at such a line and names it; the lenient
+     one skips it and keeps the rest. *)
+  let file = Filename.temp_file "utlb" ".trace" in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc "0.0 0 5 1 S\nnan 0 101 1 S\n2.0 0 6 1 S\n");
+  let strict = In_channel.with_open_text file Trace.load in
+  let lenient, skipped = In_channel.with_open_text file (fun ic -> Trace.load_lenient ic) in
+  Sys.remove file;
+  (match strict with
+  | Error msg ->
+    Alcotest.(check bool) "strict load names line 2" true
+      (String.starts_with ~prefix:"line 2: " msg)
+  | Ok _ -> Alcotest.fail "strict load accepted a NaN time");
+  Alcotest.(check (pair int int)) "lenient load keeps 2, skips 1" (2, 1)
+    (Trace.length lenient, skipped)
 
 let test_trace_sorting () =
   let t =
