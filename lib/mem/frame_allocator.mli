@@ -3,7 +3,12 @@
     Manages the pool of host DRAM frames. Frame 0 is reserved at
     creation for the driver's pinned "garbage page" (Section 4.2 of the
     paper): translation-table entries are initialised to it so the NI
-    never dereferences an invalid index. *)
+    never dereferences an invalid index.
+
+    The frame freed last is handed out first; with none freed, the
+    lowest frame never handed out is. Creation allocates nothing per
+    frame (a bump pointer and a stack of freed frames grown on demand),
+    and {!alloc} allocates nothing. *)
 
 type t
 
@@ -21,8 +26,8 @@ val free_count : t -> int
 
 val in_use : t -> int
 
-val alloc : t -> int option
-(** Take a free frame, or [None] when DRAM is exhausted. *)
+val alloc : t -> int
+(** Take a free frame, or -1 when DRAM is exhausted. *)
 
 val free : t -> int -> unit
 (** Return a frame to the pool.

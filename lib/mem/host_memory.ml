@@ -116,9 +116,8 @@ let try_evict t =
 (* A free frame, evicting an unpinned page for it if needed; -1 when
    every frame is pinned. *)
 let rec alloc_frame t =
-  match Frame_allocator.alloc t.frames with
-  | Some f -> f
-  | None -> if try_evict t then alloc_frame t else -1
+  let f = Frame_allocator.alloc t.frames in
+  if f >= 0 then f else if try_evict t then alloc_frame t else -1
 
 (* Frame backing [vpn], faulted in if needed; -1 when DRAM is out. *)
 let fault_in t p pid vpn =

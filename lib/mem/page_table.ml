@@ -40,8 +40,6 @@ let check_vpn vpn =
   if vpn < 0 || vpn > max_vpn then
     invalid_arg "Page_table: vpn out of range"
 
-let split vpn = (vpn lsr table_bits, vpn land (table_entries - 1))
-
 let alloc_block t =
   let needed = (t.blocks + 1) * table_entries in
   if needed > Array.length t.frames then begin
@@ -60,12 +58,16 @@ let alloc_block t =
   t.blocks <- t.blocks + 1;
   block
 
+(* The slot of [vpn] in its block. The directory index is
+   [vpn lsr table_bits]; both are computed where they are used, since
+   a helper returning the pair would allocate it. *)
+let index vpn = vpn land (table_entries - 1)
+
 (* Pool offset of [vpn]'s slot, or -1 when its table was never
    allocated. *)
 let slot_of t vpn =
-  let dir, idx = split vpn in
-  let block = t.dir_block.(dir) in
-  if block < 0 then -1 else (block lsl table_bits) + idx
+  let block = t.dir_block.(vpn lsr table_bits) in
+  if block < 0 then -1 else (block lsl table_bits) + index vpn
 
 let find t vpn =
   check_vpn vpn;
@@ -89,7 +91,7 @@ let pin_of t vpn =
 
 let set t vpn ~frame =
   check_vpn vpn;
-  let dir, idx = split vpn in
+  let dir = vpn lsr table_bits in
   let block =
     match t.dir_block.(dir) with
     | -1 ->
@@ -99,7 +101,7 @@ let set t vpn ~frame =
       block
     | block -> block
   in
-  let slot = (block lsl table_bits) + idx in
+  let slot = (block lsl table_bits) + index vpn in
   if t.frames.(slot) < 0 then begin
     t.resident <- t.resident + 1;
     t.pins.(slot) <- 0

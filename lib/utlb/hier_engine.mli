@@ -11,7 +11,11 @@
       pre-pinning [prepin] contiguous pages) and installs their frames
       in the translation table, evicting/unpinning victims chosen by the
       configured replacement policy when the per-process pinned-page
-      limit is reached;
+      limit is reached. The replacement tracker is kept current (a use
+      per page looked up, an entry per page pinned) only when something
+      can ask it for a victim: a pinned-page limit or an active
+      tenancy's quota. Without either nothing reads it, and skipping
+      its upkeep changes no outcome;
     + an NI lookup per page in the Shared UTLB-Cache; on a miss, the NI
       DMAs [prefetch] consecutive entries from the translation table and
       fills the cache (entries still holding the garbage frame are not

@@ -65,57 +65,68 @@ let push_front t n =
   t.prev.(t.next.(t.sentinel)) <- n;
   t.next.(t.sentinel) <- n
 
-let shadow_touch t key =
-  let slot = Flat_map.find t.table key in
-  if slot < 0 then false
-  else begin
-    let n = Flat_map.value0 t.table slot in
-    unlink t n;
-    push_front t n;
-    true
-  end
+(* Move the shadow node in [slot] of the table to the MRU end. *)
+let shadow_touch t slot =
+  let n = Flat_map.value0 t.table slot in
+  unlink t n;
+  push_front t n
 
+(* Insert [key], which the caller found absent from the shadow table. *)
 let shadow_insert t key ~pid ~vpn =
-  if not (Flat_map.mem t.table key) then begin
-    if t.size >= t.capacity then begin
-      (* Evict the LRU tail. *)
-      let tail = t.prev.(t.sentinel) in
-      unlink t tail;
-      Flat_map.remove t.table (pack ~pid:t.kpid.(tail) ~vpn:t.kvpn.(tail));
-      t.free.(t.free_len) <- tail;
-      t.free_len <- t.free_len + 1;
-      t.size <- t.size - 1
-    end;
-    t.free_len <- t.free_len - 1;
-    let n = t.free.(t.free_len) in
-    t.kpid.(n) <- pid;
-    t.kvpn.(n) <- vpn;
-    ignore (Flat_map.add t.table key ~v0:n ~v1:0);
-    push_front t n;
-    t.size <- t.size + 1
-  end
+  if t.size >= t.capacity then begin
+    (* Evict the LRU tail. *)
+    let tail = t.prev.(t.sentinel) in
+    unlink t tail;
+    Flat_map.remove t.table (pack ~pid:t.kpid.(tail) ~vpn:t.kvpn.(tail));
+    t.free.(t.free_len) <- tail;
+    t.free_len <- t.free_len + 1;
+    t.size <- t.size - 1
+  end;
+  t.free_len <- t.free_len - 1;
+  let n = t.free.(t.free_len) in
+  t.kpid.(n) <- pid;
+  t.kvpn.(n) <- vpn;
+  ignore (Flat_map.add t.table key ~v0:n ~v1:0);
+  push_front t n;
+  t.size <- t.size + 1
 
+(* Every page in the shadow is in [seen]: only [note_hit] and
+   [classify] insert into the shadow, and both record the page as
+   seen. So one probe of the shadow table decides a shadow hit, which
+   needs nothing else; a shadow miss adds the page to [seen] (one
+   probe, which says whether it was new) and to the shadow. *)
 let note_hit t ~pid ~vpn =
   let pid = Pid.to_int pid in
   let key = pack ~pid ~vpn in
-  if not (shadow_touch t key) then shadow_insert t key ~pid ~vpn;
-  ignore (Flat_map.add t.seen key ~v0:0 ~v1:0)
+  let slot = Flat_map.find t.table key in
+  if slot >= 0 then shadow_touch t slot
+  else begin
+    ignore (Flat_map.add t.seen key ~v0:0 ~v1:0);
+    shadow_insert t key ~pid ~vpn
+  end
 
 let classify t ~pid ~vpn =
   let pid = Pid.to_int pid in
   let key = pack ~pid ~vpn in
-  let kind =
-    if not (Flat_map.mem t.seen key) then Compulsory
-    else if Flat_map.mem t.table key then Conflict
-    else Capacity
-  in
-  ignore (Flat_map.add t.seen key ~v0:0 ~v1:0);
-  if not (shadow_touch t key) then shadow_insert t key ~pid ~vpn;
-  (match kind with
-  | Compulsory -> t.compulsory <- t.compulsory + 1
-  | Capacity -> t.capacity_misses <- t.capacity_misses + 1
-  | Conflict -> t.conflict <- t.conflict + 1);
-  kind
+  let slot = Flat_map.find t.table key in
+  if slot >= 0 then begin
+    shadow_touch t slot;
+    t.conflict <- t.conflict + 1;
+    Conflict
+  end
+  else begin
+    let known = Flat_map.length t.seen in
+    ignore (Flat_map.add t.seen key ~v0:0 ~v1:0);
+    shadow_insert t key ~pid ~vpn;
+    if Flat_map.length t.seen > known then begin
+      t.compulsory <- t.compulsory + 1;
+      Compulsory
+    end
+    else begin
+      t.capacity_misses <- t.capacity_misses + 1;
+      Capacity
+    end
+  end
 
 let note_invalidate t ~pid ~vpn =
   let pid = Pid.to_int pid in

@@ -9,7 +9,14 @@
 
     Feed the classifier every access: [note_hit] on real-cache hits
     keeps the shadow LRU stack in sync; [classify] on real-cache misses
-    returns the miss kind and updates the shadow. *)
+    returns the miss kind and updates the shadow.
+
+    Every page in the shadow has been seen, so one probe of the shadow
+    table both decides the kind and finds the node to move: an access
+    the shadow holds (a hit, or a conflict miss) costs that one probe;
+    one it lacks adds one probe of the pages seen, which says whether
+    the miss is compulsory, and the insert (plus the LRU tail's removal
+    when the shadow is full). Nothing allocates after [create]. *)
 
 type kind = Compulsory | Capacity | Conflict
 

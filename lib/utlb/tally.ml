@@ -29,7 +29,11 @@ type t = {
   mutable misses : int;
   mutable fetched : int;
   mutable irqs : int;
+  (* Outcomes already built, direct-mapped by their counts. *)
+  outcomes : Engine_intf.outcome array;
 }
+
+let outcome_slots = 64
 
 let create () =
   {
@@ -53,6 +57,7 @@ let create () =
     misses = 0;
     fetched = 0;
     irqs = 0;
+    outcomes = Array.make outcome_slots Engine_intf.unchanged;
   }
 
 let pin t ~calls ~pages =
@@ -68,6 +73,44 @@ let fetch t n = t.fetched <- t.fetched + n
 let interrupt t n = t.irqs <- t.irqs + n
 
 let recover t = t.fault_recoveries <- t.fault_recoveries + 1
+
+(* The in-flight counts as an outcome. Outcomes are immutable, so one
+   built for the same counts before is returned again: the table keeps
+   the last outcome built per slot, and the few shapes a run produces
+   (one pin call of one page and one miss, ...) stop allocating once
+   each is built. *)
+let outcome t ~check_miss =
+  let h = if check_miss then 1 else 0 in
+  let h = (h * 31) + t.calls in
+  let h = (h * 31) + t.pinned in
+  let h = (h * 31) + t.unpinned in
+  let h = (h * 31) + t.misses in
+  let h = (h * 31) + t.fetched in
+  let h = (h * 31) + t.irqs in
+  let slot = (h lxor (h lsr 7)) land (outcome_slots - 1) in
+  let o = t.outcomes.(slot) in
+  if
+    o.Engine_intf.check_miss = check_miss
+    && o.pin_calls = t.calls && o.pages_pinned = t.pinned
+    && o.unpin_calls = t.unpinned && o.ni_misses = t.misses
+    && o.entries_fetched = t.fetched && o.interrupts = t.irqs
+  then o
+  else begin
+    let o =
+      {
+        Engine_intf.check_miss;
+        pin_calls = t.calls;
+        pages_pinned = t.pinned;
+        unpin_calls = t.unpinned;
+        pages_unpinned = t.unpinned;
+        ni_misses = t.misses;
+        entries_fetched = t.fetched;
+        interrupts = t.irqs;
+      }
+    in
+    t.outcomes.(slot) <- o;
+    o
+  end
 
 (* Close the lookup in flight: add its counts to the totals and return
    them, as the shared [unchanged] when nothing moved. *)
@@ -87,17 +130,7 @@ let finish t ~npages ~check_miss =
       (not check_miss) && t.calls = 0 && t.pinned = 0 && t.unpinned = 0
       && t.misses = 0 && t.fetched = 0 && t.irqs = 0
     then Engine_intf.unchanged
-    else
-      {
-        Engine_intf.check_miss;
-        pin_calls = t.calls;
-        pages_pinned = t.pinned;
-        unpin_calls = t.unpinned;
-        pages_unpinned = t.unpinned;
-        ni_misses = t.misses;
-        entries_fetched = t.fetched;
-        interrupts = t.irqs;
-      }
+    else outcome t ~check_miss
   in
   t.calls <- 0;
   t.pinned <- 0;

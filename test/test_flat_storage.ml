@@ -520,9 +520,8 @@ module Ref_host = struct
     scan (total - 1)
 
   let rec alloc_frame t =
-    match Frame_allocator.alloc t.frames with
-    | Some f -> Some f
-    | None -> if try_evict t then alloc_frame t else None
+    let f = Frame_allocator.alloc t.frames in
+    if f >= 0 then Some f else if try_evict t then alloc_frame t else None
 
   let ensure_resident t pid ~vpn =
     let p = proc t pid in
@@ -978,6 +977,273 @@ let replacement_differential policy () =
   Alcotest.(check bool) "victims were chosen" true (!victims > 1_000)
 
 (* ------------------------------------------------------------------ *)
+(* Frame_allocator vs its free-list version.                          *)
+(*                                                                    *)
+(* The reference is the allocator before the bump pointer: a list of  *)
+(* every free frame, built at creation, that [alloc] pops and [free]  *)
+(* pushes. On hosts of 2-64 frames, random alloc/free streams must    *)
+(* hand out the same frames in the same order and refuse the same     *)
+(* frees with the same errors.                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Ref_frames = struct
+  type t = {
+    total : int;
+    mutable free_list : int list;
+    allocated : Bytes.t;
+    mutable free_count : int;
+  }
+
+  let garbage = 0
+
+  let create ~frames =
+    let allocated = Bytes.make frames '\000' in
+    Bytes.set allocated garbage '\001';
+    let rec build i acc = if i < 1 then acc else build (i - 1) (i :: acc) in
+    { total = frames; free_list = build (frames - 1) []; allocated;
+      free_count = frames - 1 }
+
+  let alloc t =
+    match t.free_list with
+    | [] -> None
+    | f :: rest ->
+      t.free_list <- rest;
+      t.free_count <- t.free_count - 1;
+      Bytes.set t.allocated f '\001';
+      Some f
+
+  let free t f =
+    if f = garbage then invalid_arg "Frame_allocator.free: garbage frame";
+    if f < 0 || f >= t.total then
+      invalid_arg "Frame_allocator.free: frame out of range";
+    if Bytes.get t.allocated f = '\000' then
+      invalid_arg "Frame_allocator.free: double free";
+    Bytes.set t.allocated f '\000';
+    t.free_list <- f :: t.free_list;
+    t.free_count <- t.free_count + 1
+
+  let is_allocated t f =
+    f >= 0 && f < t.total && Bytes.get t.allocated f = '\001'
+end
+
+let frame_allocator_differential () =
+  let module Fa = Utlb_mem.Frame_allocator in
+  let rng = Rng.create ~seed in
+  let exhausted = ref 0 and freed = ref 0 and refused = ref 0 in
+  for frames = 2 to 64 do
+    let fa = Fa.create ~frames and model = Ref_frames.create ~frames in
+    for step = 1 to 400 do
+      let ctx what = Printf.sprintf "%d frames, %s@%d" frames what step in
+      (* Phases alternate between draining the host and returning
+         frames, so that both exhaustion and long freed stacks occur. *)
+      let draining = step / 50 mod 2 = 0 in
+      if Rng.int rng 4 < (if draining then 3 else 1) then begin
+        let expect = Option.value ~default:(-1) (Ref_frames.alloc model) in
+        if expect < 0 then incr exhausted;
+        Alcotest.(check int) (ctx "alloc") expect (Fa.alloc fa)
+      end
+      else begin
+        (* Any frame from -1 to [frames]: the garbage frame, frames out
+           of range and frames not allocated must be refused alike. *)
+        let f = Rng.int rng (frames + 2) - 1 in
+        let outcome free =
+          match free () with
+          | () -> None
+          | exception Invalid_argument m -> Some m
+        in
+        let expect = outcome (fun () -> Ref_frames.free model f) in
+        if expect = None then incr freed else incr refused;
+        Alcotest.(check (option string))
+          (ctx (Printf.sprintf "free %d" f))
+          expect
+          (outcome (fun () -> Fa.free fa f))
+      end;
+      Alcotest.(check (list int))
+        (ctx "free count, in use")
+        [ model.Ref_frames.free_count; frames - model.Ref_frames.free_count ]
+        [ Fa.free_count fa; Fa.in_use fa ];
+      Alcotest.(check (list bool))
+        (ctx "is_allocated of every frame")
+        (List.init (frames + 2) (fun f -> Ref_frames.is_allocated model (f - 1)))
+        (List.init (frames + 2) (fun f -> Fa.is_allocated fa (f - 1)))
+    done
+  done;
+  Alcotest.(check bool) "hosts ran out of frames" true (!exhausted > 0);
+  Alcotest.(check bool) "frames were freed" true (!freed > 1_000);
+  Alcotest.(check bool) "frees were refused" true (!refused > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Miss_classifier vs its two-probe version.                          *)
+(*                                                                    *)
+(* The reference is the classifier before one shadow-table probe      *)
+(* served both the miss kind and the LRU update: it asks [seen], then *)
+(* the shadow table, then probes the table again to touch or insert.  *)
+(* Random hit/miss/invalidate streams over 1-4 pids and shadow        *)
+(* capacities of 1-64 must classify every miss alike.                 *)
+(* ------------------------------------------------------------------ *)
+
+module Ref_classifier = struct
+  module Mc = Utlb.Miss_classifier
+
+  type t = {
+    capacity : int;
+    sentinel : int;
+    kpid : int array;
+    kvpn : int array;
+    prev : int array;
+    next : int array;
+    free : int array;
+    mutable free_len : int;
+    table : Flat_map.t;
+    mutable size : int;
+    seen : Flat_map.t;
+    mutable compulsory : int;
+    mutable capacity_misses : int;
+    mutable conflict : int;
+  }
+
+  let pack ~pid ~vpn = (pid lsl 32) lor vpn
+
+  let create ~capacity =
+    let sentinel = capacity in
+    {
+      capacity;
+      sentinel;
+      kpid = Array.make (capacity + 1) (-1);
+      kvpn = Array.make (capacity + 1) (-1);
+      prev = Array.make (capacity + 1) sentinel;
+      next = Array.make (capacity + 1) sentinel;
+      free = Array.init capacity (fun i -> capacity - 1 - i);
+      free_len = capacity;
+      table = Flat_map.create ();
+      size = 0;
+      seen = Flat_map.create ();
+      compulsory = 0;
+      capacity_misses = 0;
+      conflict = 0;
+    }
+
+  let unlink t n =
+    t.next.(t.prev.(n)) <- t.next.(n);
+    t.prev.(t.next.(n)) <- t.prev.(n)
+
+  let push_front t n =
+    t.next.(n) <- t.next.(t.sentinel);
+    t.prev.(n) <- t.sentinel;
+    t.prev.(t.next.(t.sentinel)) <- n;
+    t.next.(t.sentinel) <- n
+
+  let shadow_touch t key =
+    let slot = Flat_map.find t.table key in
+    if slot < 0 then false
+    else begin
+      let n = Flat_map.value0 t.table slot in
+      unlink t n;
+      push_front t n;
+      true
+    end
+
+  let shadow_insert t key ~pid ~vpn =
+    if not (Flat_map.mem t.table key) then begin
+      if t.size >= t.capacity then begin
+        let tail = t.prev.(t.sentinel) in
+        unlink t tail;
+        Flat_map.remove t.table (pack ~pid:t.kpid.(tail) ~vpn:t.kvpn.(tail));
+        t.free.(t.free_len) <- tail;
+        t.free_len <- t.free_len + 1;
+        t.size <- t.size - 1
+      end;
+      t.free_len <- t.free_len - 1;
+      let n = t.free.(t.free_len) in
+      t.kpid.(n) <- pid;
+      t.kvpn.(n) <- vpn;
+      ignore (Flat_map.add t.table key ~v0:n ~v1:0);
+      push_front t n;
+      t.size <- t.size + 1
+    end
+
+  let note_hit t ~pid ~vpn =
+    let key = pack ~pid ~vpn in
+    if not (shadow_touch t key) then shadow_insert t key ~pid ~vpn;
+    ignore (Flat_map.add t.seen key ~v0:0 ~v1:0)
+
+  let classify t ~pid ~vpn =
+    let key = pack ~pid ~vpn in
+    let kind =
+      if not (Flat_map.mem t.seen key) then Mc.Compulsory
+      else if Flat_map.mem t.table key then Mc.Conflict
+      else Mc.Capacity
+    in
+    ignore (Flat_map.add t.seen key ~v0:0 ~v1:0);
+    if not (shadow_touch t key) then shadow_insert t key ~pid ~vpn;
+    (match kind with
+    | Mc.Compulsory -> t.compulsory <- t.compulsory + 1
+    | Mc.Capacity -> t.capacity_misses <- t.capacity_misses + 1
+    | Mc.Conflict -> t.conflict <- t.conflict + 1);
+    kind
+
+  let note_invalidate t ~pid ~vpn =
+    let key = pack ~pid ~vpn in
+    let slot = Flat_map.find t.table key in
+    if slot >= 0 then begin
+      let n = Flat_map.value0 t.table slot in
+      unlink t n;
+      Flat_map.remove t.table key;
+      t.free.(t.free_len) <- n;
+      t.free_len <- t.free_len + 1;
+      t.size <- t.size - 1
+    end
+end
+
+let classifier_differential () =
+  let module Mc = Utlb.Miss_classifier in
+  let rng = Rng.create ~seed in
+  let kinds = Hashtbl.create 3 in
+  List.iter
+    (fun capacity ->
+      for npids = 1 to 4 do
+        let t = Mc.create ~capacity
+        and model = Ref_classifier.create ~capacity in
+        (* About twice as many pages as the shadow holds, so that hits
+           and misses of all three kinds are common. *)
+        let vpns = 1 + (2 * capacity / npids) in
+        for step = 1 to 2_000 do
+          let ctx what =
+            Printf.sprintf "capacity %d, %d pids, %s@%d" capacity npids what
+              step
+          in
+          let ipid = Rng.int rng npids and vpn = Rng.int rng vpns in
+          let pid = Pid.of_int ipid in
+          (match Rng.int rng 10 with
+          | 0 | 1 | 2 | 3 ->
+            Ref_classifier.note_hit model ~pid:ipid ~vpn;
+            Mc.note_hit t ~pid ~vpn
+          | 4 | 5 | 6 | 7 | 8 ->
+            let expect = Ref_classifier.classify model ~pid:ipid ~vpn in
+            Hashtbl.replace kinds expect ();
+            Alcotest.(check string)
+              (ctx "classify") (Mc.kind_name expect)
+              (Mc.kind_name (Mc.classify t ~pid ~vpn))
+          | _ ->
+            Ref_classifier.note_invalidate model ~pid:ipid ~vpn;
+            Mc.note_invalidate t ~pid ~vpn);
+          Alcotest.(check (list int))
+            (ctx "compulsory, capacity, conflict")
+            [
+              model.Ref_classifier.compulsory;
+              model.Ref_classifier.capacity_misses;
+              model.Ref_classifier.conflict;
+            ]
+            [ Mc.compulsory t; Mc.capacity_misses t; Mc.conflict t ]
+        done;
+        Alcotest.(check (list string))
+          (Printf.sprintf "capacity %d, %d pids: self_check" capacity npids)
+          [] (Mc.self_check t)
+      done)
+    [ 1; 2; 3; 5; 8; 16; 33; 64 ];
+  Alcotest.(check int) "all three kinds occurred" 3 (Hashtbl.length kinds)
+
+(* ------------------------------------------------------------------ *)
 (* Packet.crc32 vs the bitwise definition.                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1050,6 +1316,53 @@ let reports_unperturbed () =
         engines)
     Workloads.all
 
+
+(* The replacement trackers of utlb, victima and utopia are kept
+   current only when a pin limit or a tenancy can select from them.
+   Skipping that upkeep must not show: on the quarter-size Table-3
+   traces, a run without a limit and one whose 4096 MB limit no trace
+   reaches (so its trackers are kept, and never asked for a victim)
+   return the same outcome for every lookup and the same report. *)
+let untracked_upkeep_unobservable () =
+  let traces =
+    List.map
+      (fun (spec : Workloads.spec) ->
+        ( spec.Workloads.name,
+          (Workloads.scaled spec ~factor:0.25).Workloads.generate
+            ~seed:Driver.default_seed ))
+      Workloads.all
+  in
+  List.iter
+    (fun name ->
+      let run params trace =
+        match Driver.Registry.resolve ~name ~params with
+        | Error msg -> Alcotest.fail msg
+        | Ok (Driver.Packed ((module E), config)) ->
+          let engine = E.create ~seed:Driver.default_seed config in
+          let outcomes = ref [] in
+          Utlb_trace.Trace.iter trace (fun (r : Utlb_trace.Record.t) ->
+              outcomes :=
+                E.lookup engine ~pid:r.pid ~vpn:r.vpn ~npages:r.npages
+                :: !outcomes);
+          (List.rev !outcomes, E.report engine ~label:name)
+      in
+      List.iter
+        (fun (app, trace) ->
+          let ctx what = Printf.sprintf "%s/%s: %s" name app what in
+          let outcomes, report = run [] trace in
+          let limited_outcomes, limited_report =
+            run [ ("limit-mb", "4096") ] trace
+          in
+          Alcotest.(check int) (ctx "the limit never evicts") 0
+            limited_report.Report.pages_unpinned;
+          Alcotest.(check bool)
+            (ctx "same outcome for every lookup")
+            true
+            (outcomes = limited_outcomes);
+          Alcotest.check report_t (ctx "same report") report limited_report)
+        traces)
+    [ "utlb"; "victima"; "utopia" ]
+
 let suite =
   [
     Alcotest.test_case "bitvec differential" `Quick bitvec_differential;
@@ -1077,7 +1390,13 @@ let suite =
       (replacement_differential Utlb.Replacement.Mfu);
     Alcotest.test_case "replacement differential (random)" `Quick
       (replacement_differential Utlb.Replacement.Random);
+    Alcotest.test_case "frame_allocator differential" `Quick
+      frame_allocator_differential;
+    Alcotest.test_case "miss_classifier differential" `Quick
+      classifier_differential;
     Alcotest.test_case "crc32 differential" `Quick crc32_differential;
+    Alcotest.test_case "untracked replacement upkeep is unobservable" `Quick
+      untracked_upkeep_unobservable;
     Alcotest.test_case "reports unchanged under instrumentation" `Slow
       reports_unperturbed;
   ]
