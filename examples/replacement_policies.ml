@@ -45,7 +45,7 @@ let looping_sweep touch =
 let hot_cold touch =
   let rng = Rng.create ~seed:17L in
   for _ = 1 to 40_000 do
-    if Rng.float rng 1.0 < 0.9 then touch (0x1000 + Rng.int rng 64)
+    if Rng.chance rng 0.9 then touch (0x1000 + Rng.int rng 64)
     else touch (0x10000 + Rng.int rng 4096)
   done
 

@@ -41,7 +41,7 @@ let plan t = t.plan
 
 (* p = 0.0 short-circuits WITHOUT touching the rng: see the
    determinism contract above. *)
-let roll t p = p > 0.0 && Rng.float t.rng 1.0 < p
+let roll t p = p > 0.0 && Rng.chance t.rng p
 
 let note t klass = t.injected.(class_index klass) <- t.injected.(class_index klass) + 1
 

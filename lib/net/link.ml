@@ -59,7 +59,7 @@ let create ?(bandwidth_mb_per_s = 160.0) ?(latency_us = 0.5)
 let roll t p =
   match t.rng with
   | None -> false
-  | Some rng -> p > 0.0 && Rng.float rng 1.0 < p
+  | Some rng -> p > 0.0 && Rng.chance rng p
 
 let transmit t pkt =
   t.transmitted <- t.transmitted + 1;

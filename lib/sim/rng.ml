@@ -42,6 +42,12 @@ let float t bound =
   let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits /. 9007199254740992.0 *. bound
 
+(* [float t 1.0 < p] on the same draw, with no float returned to box:
+   scaling by 1.0 is exact. *)
+let chance t p =
+  let bits = Int64.shift_right_logical (next t) 11 in
+  Int64.to_float bits /. 9007199254740992.0 < p
+
 let bool t = Int64.logand (next t) 1L = 1L
 
 let geometric t ~p =

@@ -7,10 +7,10 @@
 
 type t
 (** Mutable generator state: the 64-bit SplitMix64 word, kept unboxed
-    in an 8-byte buffer, so {!int}, {!bool}, {!geometric}, {!shuffle}
-    and {!pick} allocate nothing. {!next_int64} and {!float} return a
-    boxed value, as any int64 or float a function returns to another
-    module is. *)
+    in an 8-byte buffer, so {!int}, {!bool}, {!chance}, {!geometric},
+    {!shuffle} and {!pick} allocate nothing. {!next_int64} and {!float}
+    return a boxed value, as any int64 or float a function returns to
+    another module is. *)
 
 val create : seed:int64 -> t
 (** [create ~seed] returns a fresh generator. Equal seeds yield equal
@@ -32,6 +32,11 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
+
+val chance : t -> float -> bool
+(** [chance t p] is [float t 1.0 < p]: the same draw and the same
+    answer, without boxing the float. Use it wherever a draw is only
+    compared with a probability. *)
 
 val bool : t -> bool
 (** Fair coin. *)

@@ -71,7 +71,7 @@ let merge rng ~mirror_fraction ~mirror_npages ~protocol_pid streams =
       Record.make ~time_us:!time ~pid:(Pid.of_int i) ~vpn ~npages:s.npages.(j)
         ~op:s.ops.(j);
     incr n;
-    if mirror_fraction > 0.0 && Rng.float rng 1.0 < mirror_fraction then begin
+    if mirror_fraction > 0.0 && Rng.chance rng mirror_fraction then begin
       out.(!n) <-
         Record.make ~time_us:(!time +. 1.5) ~pid:protocol_pid
           ~vpn:(vpn - (vpn mod mirror_npages))

@@ -74,7 +74,7 @@ let hot_cold ~hot_fraction ~hot_bias ~lookups ~pages =
         let cold_pos = ref 0 in
         let events = ref [] in
         for _ = 1 to lookups do
-          if Rng.float rng 1.0 < hot_bias then
+          if Rng.chance rng hot_bias then
             events := acc (hot_start + Rng.int rng hot_count) :: !events
           else begin
             let p = !cold_pos in
