@@ -77,7 +77,9 @@ val scaled : spec -> factor:float -> spec
 (** [scaled spec ~factor] is the workload with footprint and lookups
     multiplied by [factor] — for studying how the paper's results move
     with problem size beyond Table 3.
-    @raise Invalid_argument if [factor <= 0]. *)
+    @raise Invalid_argument if [factor] is NaN or not positive, or if
+    the scaled footprint or lookup count does not fit an int (an
+    infinite factor included). *)
 
 val custom :
   name:string ->

@@ -116,7 +116,17 @@ let test_grid_parse_errors () =
     "workloads water\nmechanism utlb entries\n";
   fails ~substring:"no workloads" "mechanism utlb entries=1024\n";
   fails ~substring:"no mechanisms" "workloads water\n";
-  fails ~substring:"line 1: unknown directive" "workload water\n"
+  fails ~substring:"line 1: unknown directive" "workload water\n";
+  (* A scale factor that means nothing: NaN, or a scaled footprint or
+     lookup count past an int. *)
+  fails ~substring:"line 2: Workloads.scaled: factor must be positive"
+    "workloads water\nworkloads fft@-1\nmechanism utlb\n";
+  fails ~substring:"line 2: Workloads.scaled: factor must be positive"
+    "workloads water\nworkloads fft@nan\nmechanism utlb\n";
+  fails ~substring:"line 2: Workloads.scaled: factor too large"
+    "workloads water\nworkloads fft@1e400\nmechanism utlb\n";
+  fails ~substring:"line 1: Workloads.scaled: factor too large"
+    "workloads fft@1e300\nmechanism utlb\n"
 
 (* --- Registry and packed dispatch ---------------------------------- *)
 

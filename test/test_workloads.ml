@@ -135,6 +135,30 @@ let test_scaled_invalid () =
     (Invalid_argument "Workloads.scaled: factor must be positive") (fun () ->
       ignore (Workloads.scaled Workloads.fft ~factor:0.0))
 
+(* NaN, and a factor that scales the footprint or the lookup count past
+   an int, used to fall through [int_of_float] to the minimum size. The
+   paper apps and the interference scenario share one check. *)
+let test_scaled_meaningless () =
+  List.iter
+    (fun (spec : Workloads.spec) ->
+      List.iter
+        (fun (factor, msg) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s@%g" spec.name factor)
+            (Invalid_argument ("Workloads.scaled: " ^ msg))
+            (fun () -> ignore (Workloads.scaled spec ~factor)))
+        [
+          (Float.nan, "factor must be positive");
+          (Float.infinity, "factor too large");
+          (1e300, "factor too large");
+          (1e15, "factor too large");
+        ])
+    [ Workloads.fft; Workloads.water; Workloads.interference ];
+  (* The largest factor that still fits keeps its counts. *)
+  let big = Workloads.scaled Workloads.water ~factor:1e14 in
+  Alcotest.(check int) "1e14 footprint" (1890 * 100_000_000_000_000)
+    big.table3_footprint
+
 
 
 let test_multiprogram () =
@@ -250,6 +274,8 @@ let suite =
     Alcotest.test_case "find by name" `Quick test_find;
     Alcotest.test_case "scaled workloads" `Slow test_scaled;
     Alcotest.test_case "scaled invalid factor" `Quick test_scaled_invalid;
+    Alcotest.test_case "scaled refuses meaningless factors" `Quick
+      test_scaled_meaningless;
     Alcotest.test_case "multiprogram mix" `Slow test_multiprogram;
     Alcotest.test_case "multiprogram empty" `Quick test_multiprogram_empty;
     Alcotest.test_case "pinned trace digests" `Slow test_pinned_traces;
