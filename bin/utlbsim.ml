@@ -351,7 +351,15 @@ let run_cmd =
   let run app trace_in entries assoc prefetch prepin policy limit seed intr
       sanitize trace_out trace_cap metrics_fmt faults tenants =
     let cache = { Ni_cache.entries; associativity = assoc } in
-    let memory_limit_pages = Option.map (fun mb -> mb * 256) limit in
+    (* A config the engine refuses is a usage error, as in sweep. *)
+    let refuse msg =
+      Printf.eprintf "utlbsim run: %s\n" msg;
+      exit 1
+    in
+    let memory_limit_pages =
+      try Option.map Utlb_mem.Addr.pages_of_mb limit
+      with Invalid_argument msg -> refuse msg
+    in
     let (Sim_driver.Packed ((module E), config) as packed) =
       if intr then
         Sim_driver.Packed
@@ -389,11 +397,7 @@ let run_cmd =
           (Utlb_obs.Scope.create ?sink ?metrics:registry
              ~cost_of:Obs_cost.default ())
     in
-    (* A config the engine refuses is a usage error, as in sweep. *)
-    (try E.validate config
-     with Invalid_argument msg ->
-       Printf.eprintf "utlbsim run: %s\n" msg;
-       exit 1);
+    (try E.validate config with Invalid_argument msg -> refuse msg);
     let faults_inj = injector_of ~seed faults in
     let tenancy = tenancy_of_spec tenants in
     let report =

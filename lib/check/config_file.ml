@@ -79,9 +79,7 @@ let cache config =
   { Ni_cache.entries = config.entries; associativity = config.associativity }
 
 let memory_limit_pages config =
-  Option.map
-    (fun mb -> mb * 1024 * 1024 / Utlb_mem.Addr.page_size)
-    config.limit_mb
+  Option.map Utlb_mem.Addr.pages_of_mb config.limit_mb
 
 let hier_config config =
   {
@@ -204,7 +202,11 @@ let parse_string ?(source = "<string>") text =
       if String.lowercase_ascii value = "none" then
         cfg := { !cfg with limit_mb = None }
       else
-        set_int ~line key value (fun n -> cfg := { !cfg with limit_mb = Some n })
+        set_int ~line key value (fun n ->
+            match Utlb_mem.Addr.pages_of_mb n with
+            | _ -> cfg := { !cfg with limit_mb = Some n }
+            | exception Invalid_argument msg ->
+              add (note ~code:"UC003" "line %d: %s" line msg))
     | "processes" ->
       set_int ~line key value (fun n -> cfg := { !cfg with processes = n })
     | "sram_budget_entries" ->

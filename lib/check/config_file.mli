@@ -61,7 +61,10 @@ val default : t
 
 val packed : t -> Utlb.Sim_driver.packed
 (** The engine the file declares, with its configuration: the one map
-    from a config file to an engine that every checker uses. *)
+    from a config file to an engine that every checker uses.
+    @raise Invalid_argument if [limit_mb] is negative or too large for
+    {!Utlb_mem.Addr.pages_of_mb}, which no parsed config holds: parsing
+    reports such a value as UC003 and keeps the default. *)
 
 val hier_config : t -> Utlb.Hier_engine.config
 

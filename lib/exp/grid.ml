@@ -163,7 +163,22 @@ let parse_mech lineno = function
       in
       match collect [] axis_tokens with
       | Error e -> Error e
-      | Ok parsed -> Ok (axes entry.Utlb.Sim_driver.Registry.name parsed)))
+      | Ok parsed -> (
+        (* Every point must build, so a value the engine refuses (or
+           cannot convert, such as a limit-mb past an int of pages)
+           names its line here rather than failing the whole run. *)
+        let points = axes entry.Utlb.Sim_driver.Registry.name parsed in
+        let refused (m : mech) =
+          match
+            Utlb.Sim_driver.Registry.resolve ~name:m.mech_name
+              ~params:(List.remove_assoc "tenants" m.params)
+          with
+          | Ok _ -> None
+          | Error e -> Some (Printf.sprintf "line %d: %s" lineno e)
+        in
+        match List.find_map refused points with
+        | Some e -> Error e
+        | None -> Ok points)))
 
 let of_string ?(name = "campaign") text =
   let lines = String.split_on_char '\n' text in

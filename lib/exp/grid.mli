@@ -87,7 +87,9 @@ val resolve :
 val of_string : ?name:string -> string -> (t, string) result
 (** Parse the grid-file syntax above. Lines are [key tokens...];
     [#] starts a comment. Unknown workloads, unregistered mechanisms,
-    and malformed lines are errors naming the line number. *)
+    mechanism points the registry refuses (a config the engine would
+    not create, a malformed parameter) and malformed lines are errors
+    naming the line number. *)
 
 val of_file : string -> (t, string) result
 (** {!of_string} on the file's contents; the default campaign name is

@@ -2,6 +2,23 @@ let page_shift = 12
 
 let page_size = 1 lsl page_shift
 
+let pages_per_mb = (1 lsl 20) / page_size
+
+let max_limit_mb = max_int / pages_per_mb
+
+(* Refuse rather than wrap: [mb * 256] past [max_limit_mb] wraps, and
+   2^55 MB wraps to exactly 0 pages. *)
+let pages_of_mb mb =
+  if mb < 0 then
+    invalid_arg (Printf.sprintf "memory limit of %d MB is negative" mb);
+  if mb > max_limit_mb then
+    invalid_arg
+      (Printf.sprintf
+         "memory limit of %d MB is more 4 KB pages than an int holds (at \
+          most %d MB)"
+         mb max_limit_mb);
+  mb * pages_per_mb
+
 module Vaddr = struct
   type t = int
 

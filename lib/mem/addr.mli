@@ -10,6 +10,12 @@ val page_size : int
 val page_shift : int
 (** 12. *)
 
+val pages_of_mb : int -> int
+(** [pages_of_mb mb] is a memory limit of [mb] megabytes in pages (256
+    per MB): the one conversion behind every [limit-mb] and [limit_mb].
+    @raise Invalid_argument naming [mb] if it is negative or its page
+    count does not fit an int (past [max_int / 256] MB). *)
+
 module Vaddr : sig
   type t
 

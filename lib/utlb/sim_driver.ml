@@ -136,7 +136,7 @@ let limit_param params =
   | None -> None
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some mb -> Some (mb * 256) (* 4 KB pages per MB *)
+    | Some mb -> Some (Utlb_mem.Addr.pages_of_mb mb)
     | None -> bad "limit-mb" s "an integer")
 
 let cache_param params =

@@ -126,7 +126,13 @@ let test_grid_parse_errors () =
   fails ~substring:"line 2: Workloads.scaled: factor too large"
     "workloads water\nworkloads fft@1e400\nmechanism utlb\n";
   fails ~substring:"line 1: Workloads.scaled: factor too large"
-    "workloads fft@1e300\nmechanism utlb\n"
+    "workloads fft@1e300\nmechanism utlb\n";
+  (* A mechanism point the registry refuses names its line: 2^55 MB is
+     2^63 pages, which wrapped to a 0-page limit. *)
+  fails ~substring:"line 2: memory limit of 36028797018963968 MB"
+    "workloads water\nmechanism utlb limit-mb=0,36028797018963968\n";
+  fails ~substring:"line 3: Hier_engine: prefetch must be >= 1"
+    "workloads water\nmechanism intr\nmechanism utlb prefetch=1,0\n"
 
 (* --- Registry and packed dispatch ---------------------------------- *)
 

@@ -223,6 +223,10 @@ let test_invalid_configs () =
         "Hier_engine: RestSeg sets must be a power of two" );
       ("utlb", [ ("prefetch", "0") ], "Hier_engine: prefetch must be >= 1");
       ("utlb", [ ("prepin", "0") ], "Hier_engine: prepin must be >= 1");
+      ( "utlb",
+        [ ("limit-mb", "36028797018963968") ],
+        "memory limit of 36028797018963968 MB is more 4 KB pages than an \
+         int holds (at most 18014398509481983 MB)" );
     ];
   Alcotest.check_raises "create rejects too"
     (Invalid_argument "Hier_engine: prepin must be >= 1") (fun () ->
