@@ -1,5 +1,6 @@
 module Rng = Utlb_sim.Rng
 module Pid = Utlb_mem.Pid
+module Page_table = Utlb_mem.Page_table
 
 type spec = {
   name : string;
@@ -216,23 +217,28 @@ let water_stream rng ~base ~pages ~lookups =
   done;
   s
 
+let partition ~footprint pid =
+  (arena_base + (pid * layout_stride), footprint / app_processes)
+
 (* The footprint and lookup count at [factor] times their size, never
    below one page or lookup per application process. A NaN factor, or
    one that scales either count past an int (infinity included), means
-   nothing: [int_of_float] of such a product is unspecified. *)
+   nothing: [int_of_float] of such a product is unspecified. Nor can
+   the last process's partition run past the page table: the
+   generators size their streams by it. *)
 let scale_counts ~footprint ~lookups factor =
   if not (factor > 0.0) then
     invalid_arg "Workloads.scaled: factor must be positive";
+  let too_large () = invalid_arg "Workloads.scaled: factor too large" in
   let scale n =
     let scaled = float_of_int n *. factor in
-    if not (scaled < Float.of_int max_int) then
-      invalid_arg "Workloads.scaled: factor too large";
+    if not (scaled < Float.of_int max_int) then too_large ();
     max app_processes (int_of_float scaled)
   in
-  (scale footprint, scale lookups)
-
-let partition ~footprint pid =
-  (arena_base + (pid * layout_stride), footprint / app_processes)
+  let footprint = scale footprint and lookups = scale lookups in
+  let base, pages = partition ~footprint (app_processes - 1) in
+  if base + pages - 1 > Page_table.max_vpn then too_large ();
+  (footprint, lookups)
 
 let make_spec ~name ~problem_size ~description ~footprint ~lookups
     ~mirror_fraction ~mirror_npages ~stream =

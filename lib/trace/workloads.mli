@@ -77,9 +77,14 @@ val scaled : spec -> factor:float -> spec
 (** [scaled spec ~factor] is the workload with footprint and lookups
     multiplied by [factor] — for studying how the paper's results move
     with problem size beyond Table 3.
-    @raise Invalid_argument if [factor] is NaN or not positive, or if
-    the scaled footprint or lookup count does not fit an int (an
-    infinite factor included). *)
+    @raise Invalid_argument if [factor] is NaN or not positive, if the
+    scaled footprint or lookup count does not fit an int (an infinite
+    factor included), or if the last process's partition would run past
+    {!Utlb_mem.Page_table.max_vpn}. Each process's span is [footprint /
+    app_processes] pages from [65536 + pid * 16384], and the generators
+    size their streams by it, so a larger factor names pages no engine
+    can translate and arrays no host can allocate: the ceiling is about
+    345x for fft and 1,976x for water. *)
 
 val custom :
   name:string ->

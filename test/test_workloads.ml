@@ -152,12 +152,23 @@ let test_scaled_meaningless () =
           (Float.infinity, "factor too large");
           (1e300, "factor too large");
           (1e15, "factor too large");
+          (* These fit an int, but the partitions run past the page
+             table. *)
+          (1e14, "factor too large");
+          (1e10, "factor too large");
         ])
     [ Workloads.fft; Workloads.water; Workloads.interference ];
-  (* The largest factor that still fits keeps its counts. *)
-  let big = Workloads.scaled Workloads.water ~factor:1e14 in
-  Alcotest.(check int) "1e14 footprint" (1890 * 100_000_000_000_000)
-    big.table3_footprint
+  (* The largest factor whose partitions fit the page table keeps its
+     counts, and the next is refused. *)
+  let big = Workloads.scaled Workloads.water ~factor:1976.0 in
+  Alcotest.(check int) "1976x footprint" (1890 * 1976) big.table3_footprint;
+  Alcotest.check_raises "water@1977"
+    (Invalid_argument "Workloads.scaled: factor too large") (fun () ->
+      ignore (Workloads.scaled Workloads.water ~factor:1977.0));
+  ignore (Workloads.scaled Workloads.fft ~factor:345.0);
+  Alcotest.check_raises "fft@346"
+    (Invalid_argument "Workloads.scaled: factor too large") (fun () ->
+      ignore (Workloads.scaled Workloads.fft ~factor:346.0))
 
 
 
