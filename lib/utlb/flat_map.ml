@@ -4,7 +4,7 @@
    path: a probe is a multiply, a mask, and a short scan of one int
    array, with the payloads in parallel arrays — no boxing, no bucket
    chains. Deletion uses tombstones ([tomb]); the table rehashes when
-   live + tombstone slots pass 3/4 of capacity. *)
+   a new key would take live + tombstone slots past 3/4 of capacity. *)
 
 let empty = -1
 
@@ -87,35 +87,44 @@ let rec grow t =
     (fun i k -> if k >= 0 then add t k ~v0:old_v0.(i) ~v1:old_v1.(i) |> ignore)
     old_keys
 
-(* Insert or update; returns the slot now holding [key]. *)
+(* Insert or update; returns the slot now holding [key]. One probe
+   finds the key or the slot a new key takes (the first tombstone
+   passed, else the empty slot that ended the scan); only a new key can
+   grow the table, so updating a present key never rehashes. *)
 and add t key ~v0 ~v1 =
   check_key key;
-  if 4 * (t.used + 1) > 3 * Array.length t.keys then grow t;
+  let keys = t.keys in
   let i = ref (slot_of t key) in
-  let target = ref (-1) in
-  let continue = ref true in
-  while !continue do
-    let k = t.keys.(!i) in
-    if k = key then begin
-      target := !i;
-      continue := false
-    end
-    else if k = empty then begin
-      (* Reuse the first tombstone passed, if any. *)
-      if !target < 0 then target := !i;
-      if t.keys.(!target) = empty then t.used <- t.used + 1;
-      t.keys.(!target) <- key;
-      t.live <- t.live + 1;
-      continue := false
-    end
-    else begin
-      if k = tomb && !target < 0 then target := !i;
-      i := (!i + 1) land t.mask
-    end
+  let k = ref keys.(!i) in
+  let tomb_at = ref (-1) in
+  while !k <> key && !k <> empty do
+    if !k = tomb && !tomb_at < 0 then tomb_at := !i;
+    i := (!i + 1) land t.mask;
+    k := keys.(!i)
   done;
-  t.v0.(!target) <- v0;
-  t.v1.(!target) <- v1;
-  !target
+  if !k = key then begin
+    t.v0.(!i) <- v0;
+    t.v1.(!i) <- v1;
+    !i
+  end
+  else if 4 * (t.used + 1) > 3 * Array.length keys then begin
+    grow t;
+    add t key ~v0 ~v1
+  end
+  else begin
+    let slot =
+      if !tomb_at >= 0 then !tomb_at
+      else begin
+        t.used <- t.used + 1;
+        !i
+      end
+    in
+    keys.(slot) <- key;
+    t.live <- t.live + 1;
+    t.v0.(slot) <- v0;
+    t.v1.(slot) <- v1;
+    slot
+  end
 
 let remove t key =
   let slot = find t key in

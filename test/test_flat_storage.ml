@@ -161,12 +161,17 @@ let flat_map_differential () =
     (match Rng.int rng 5 with
     | 0 | 1 ->
       let v0 = Rng.int rng 1_000 and v1 = Rng.int rng 1_000 in
+      let present = Hashtbl.mem model key and slots = Flat_map.slots map in
       let slot = Flat_map.add map key ~v0 ~v1 in
       Hashtbl.replace model key (v0, v1);
       Alcotest.(check int)
         (Printf.sprintf "add key_at@%d" step)
         key
-        (Flat_map.key_at map slot)
+        (Flat_map.key_at map slot);
+      if present then
+        Alcotest.(check int)
+          (Printf.sprintf "re-add keeps slots@%d" step)
+          slots (Flat_map.slots map)
     | 2 ->
       Flat_map.remove map key;
       Hashtbl.remove model key
@@ -197,7 +202,23 @@ let flat_map_differential () =
   in
   Alcotest.(check (list (pair int (pair int int))))
     "iter matches model" expect
-    (List.sort compare !seen)
+    (List.sort compare !seen);
+  (* At the 3/4 threshold (12 keys in 16 slots) re-adding a present key
+     updates it in place; only the next new key grows the table. *)
+  let full = Flat_map.create () in
+  for key = 0 to 11 do
+    ignore (Flat_map.add full key ~v0:key ~v1:0)
+  done;
+  for key = 0 to 11 do
+    let slot = Flat_map.add full key ~v0:key ~v1:1 in
+    Alcotest.(check int) (Printf.sprintf "re-add %d keeps 16 slots" key) 16
+      (Flat_map.slots full);
+    Alcotest.(check int) (Printf.sprintf "re-add %d in place" key) 1
+      (Flat_map.value1 full slot)
+  done;
+  Alcotest.(check int) "still 12 keys" 12 (Flat_map.length full);
+  ignore (Flat_map.add full 12 ~v0:12 ~v1:0);
+  Alcotest.(check int) "a new key grows" 32 (Flat_map.slots full)
 
 (* ------------------------------------------------------------------ *)
 (* Translation_table vs a Hashtbl plus explicit directory states.     *)
