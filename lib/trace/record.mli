@@ -32,8 +32,9 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Parse the [to_string] form. Malformed input (wrong field count,
     unparseable numbers, an op other than [S]/[F]) is an [Error]
-    naming the offending field and quoting the input — never an
-    exception. *)
+    naming the offending field and quoting the input (["vpn \"1e99\" is
+    not an integer"]) — never an exception. A value {!make} refuses
+    keeps {!make}'s message. *)
 
 val of_line : line:int -> string -> (t, string) result
 (** {!of_string} with a 1-based line number prefixed to the error

@@ -38,6 +38,22 @@ let test_record_parse_errors () =
       ("1e400 0 101 1 S", "non-finite time");
       ("-inf 0 101 1 S", "non-finite time");
       ("-1.0 0 101 1 S", "negative time");
+    ];
+  (* A field that does not parse is named, with its text. *)
+  List.iter
+    (fun (line, why) ->
+      match Record.of_line ~line:2 line with
+      | Error msg ->
+        Alcotest.(check string) line
+          (Printf.sprintf "line 2: Record.of_string: %s in %S" why line)
+          msg
+      | Ok _ -> Alcotest.failf "accepted %S" line)
+    [
+      ( "1.0 0 99999999999999999999999 1 S",
+        "vpn \"99999999999999999999999\" is not an integer" );
+      ("soon 0 101 1 S", "time \"soon\" is not a number");
+      ("1.0 zero 101 1 S", "pid \"zero\" is not an integer");
+      ("1.0 0 101 1.5 S", "npages \"1.5\" is not an integer");
     ]
 
 let test_record_validation () =
